@@ -7,10 +7,9 @@
  * *across binaries* -- later binaries (and later runs of the same
  * binary) load the cached trace/mapping instead of re-simulating.
  *
- * Cache files live under ./bench_out (override with MNOC_BENCH_DIR);
- * delete the directory to force re-simulation.  Simulation scale is
- * controlled with MNOC_BENCH_OPS (operations per thread, default 4000)
- * and MNOC_BENCH_CORES (default 256).
+ * Cache files live under MNOC_BENCH_DIR; delete it to force
+ * re-simulation.  MNOC_BENCH_OPS and MNOC_BENCH_CORES set the scale
+ * (defaults in common/knobs.cc).
  *
  * The in-memory trace/mapping caches are guarded by a mutex, so
  * trace() and mapping() may be called from concurrent ThreadPool

@@ -1,6 +1,5 @@
 #include "common/journal.hh"
 
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iomanip>
@@ -9,8 +8,8 @@
 
 #include "common/io.hh"
 #include "common/json.hh"
+#include "common/knobs.hh"
 #include "common/log.hh"
-#include "common/metrics.hh"
 
 namespace mnoc {
 
@@ -19,26 +18,11 @@ namespace {
 constexpr char kHeaderMagic[8] = {'M', 'N', 'O', 'C', 'J', 'R', 'N', 'L'};
 constexpr char kEndMagic[8] = {'M', 'N', 'O', 'C', 'J', 'E', 'N', 'D'};
 
-/** Raw MNOC_JOURNAL value ("" when unset). */
-std::string
-envValue()
-{
-    const char *value = std::getenv("MNOC_JOURNAL");
-    return value != nullptr ? std::string(value) : std::string();
-}
-
 std::atomic<bool> &
 enabledFlag()
 {
-    static std::atomic<bool> flag(
-        parsePathKnob(envValue().c_str(), "MNOC_JOURNAL").enabled);
+    static std::atomic<bool> flag(readKnob("MNOC_JOURNAL").enabled);
     return flag;
-}
-
-void
-exportGlobalAtExit()
-{
-    Journal::global().writeFile(Journal::exportPath());
 }
 
 /** Deterministic human rendering of a real (explain narrative and
@@ -232,21 +216,10 @@ Journal &
 Journal::global()
 {
     static Journal *instance = [] {
-        auto *journal = new Journal();
-        if (!exportPath().empty())
-            std::atexit(exportGlobalAtExit);
-        return journal;
+        registerKnobExport();
+        return new Journal();
     }();
     return *instance;
-}
-
-std::string
-Journal::exportPath()
-{
-    PathKnob knob = parsePathKnob(envValue().c_str(), "MNOC_JOURNAL");
-    if (!knob.enabled)
-        return "";
-    return knob.path.empty() ? "mnoc_journal.mjrn" : knob.path;
 }
 
 void

@@ -120,15 +120,10 @@ bool journalEnabled();
 class Journal
 {
   public:
-    /** The shared journal.  First use arms an atexit hook that writes
-     *  the binary journal to exportPath() when MNOC_JOURNAL names a
-     *  destination. */
+    /** The shared journal.  The knob-table exporter
+     *  (common/knobs.hh) writes it at exit to MNOC_JOURNAL's path, or
+     *  to "mnoc_journal.mjrn" when the knob is just "1". */
     static Journal &global();
-
-    /** Export destination: MNOC_JOURNAL's path, or the default
-     *  "mnoc_journal.mjrn" when the knob is just "1".  Empty when the
-     *  knob is off. */
-    static std::string exportPath();
 
     /** Override the knob (tests). */
     static void setEnabled(bool enabled);

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "common/json.hh"
+#include "common/knobs.hh"
 #include "common/thread_pool.hh"
 
 #ifndef MNOC_GIT_SHA
@@ -13,14 +14,6 @@
 namespace mnoc {
 
 namespace {
-
-/** Environment knobs worth recording, in the order they are
- *  emitted. */
-constexpr const char *kKnobs[] = {
-    "MNOC_THREADS",     "MNOC_METRICS",   "MNOC_TRACE_SPANS",
-    "MNOC_BENCH_CORES", "MNOC_BENCH_OPS", "MNOC_BENCH_DIR",
-    "MNOC_FAULTS",      "MNOC_FAULT_SEED",
-};
 
 bool
 needsEncoding(char ch)
@@ -74,10 +67,10 @@ currentManifest(std::uint64_t seed, const std::string &config_digest)
     manifest.gitSha = MNOC_GIT_SHA;
     manifest.threads = ThreadPool::configuredThreads();
     manifest.configDigest = config_digest;
-    for (const char *knob : kKnobs) {
-        const char *value = std::getenv(knob);
-        if (value != nullptr)
-            manifest.env.emplace_back(knob, value);
+    for (const KnobSpec &knob : knobTable()) {
+        const char *value = knobText(knob.name);
+        if (knob.recorded && value != nullptr)
+            manifest.env.emplace_back(knob.name, value);
     }
     return manifest;
 }

@@ -1,8 +1,5 @@
 #include "common/metrics.hh"
 
-#include <cctype>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 
 #include "common/io.hh"
@@ -14,42 +11,18 @@ namespace mnoc {
 
 namespace {
 
-/** Raw MNOC_METRICS value ("" when unset). */
-std::string
-envValue()
-{
-    const char *value = std::getenv("MNOC_METRICS");
-    return value != nullptr ? std::string(value) : std::string();
-}
-
 std::atomic<bool> &
 enabledFlag()
 {
-    static std::atomic<bool> flag(
-        parsePathKnob(envValue().c_str(), "MNOC_METRICS").enabled);
+    static std::atomic<bool> flag(readKnob("MNOC_METRICS").enabled);
     return flag;
 }
 
 std::atomic<int> next_shard_slot{0};
 
-std::atomic<bool> &
-ledgerFlag()
-{
-    static std::atomic<bool> flag(parseBoolKnob(
-        std::getenv("MNOC_LEDGER"), "MNOC_LEDGER"));
-    return flag;
-}
-
 /** Backstop against a corrupt epoch index allocating the machine
  *  away: 2^24 epochs of 8-byte slots is already a 128 MiB series. */
 constexpr std::size_t kMaxSeriesSlots = std::size_t{1} << 24;
-
-void
-exportGlobalAtExit()
-{
-    MetricsRegistry::global().writeJson(
-        MetricsRegistry::exportPath());
-}
 
 } // namespace
 
@@ -206,122 +179,12 @@ Series::reset()
     }
 }
 
-bool
-ledgerEnabled()
-{
-    return ledgerFlag().load(std::memory_order_relaxed);
-}
-
-void
-setLedgerEnabled(bool on)
-{
-    ledgerFlag().store(on, std::memory_order_relaxed);
-}
-
-bool
-parseBoolKnob(const char *text, const char *knob)
-{
-    if (text == nullptr || *text == '\0' ||
-        std::strcmp(text, "0") == 0)
-        return false;
-    fatalIf(std::strcmp(text, "1") != 0,
-            std::string(knob) + " must be 0 or 1, got '" + text +
-                "'");
-    return true;
-}
-
-PathKnob
-parsePathKnob(const char *text, const char *knob)
-{
-    if (text == nullptr || *text == '\0' ||
-        std::strcmp(text, "0") == 0)
-        return {};
-    if (std::strcmp(text, "1") == 0)
-        return {true, ""};
-
-    std::string value(text);
-    std::string lowered;
-    for (char c : value)
-        lowered += static_cast<char>(std::tolower(
-            static_cast<unsigned char>(c)));
-    bool flagish = lowered == "true" || lowered == "false" ||
-                   lowered == "yes" || lowered == "no" ||
-                   lowered == "on" || lowered == "off";
-    bool all_digits = true;
-    for (char c : value)
-        all_digits = all_digits && c >= '0' && c <= '9';
-    fatalIf(flagish || all_digits,
-            std::string(knob) + " must be 0, 1 or an export path, "
-                                "got '" +
-                value + "'");
-    return {true, value};
-}
-
-std::uint64_t
-parsePositiveCount(const char *text, const char *knob,
-                   std::uint64_t fallback)
-{
-    if (text == nullptr || *text == '\0')
-        return fallback;
-    char *end = nullptr;
-    long long parsed = std::strtoll(text, &end, 10);
-    fatalIf(end == text || *end != '\0' || parsed < 1,
-            std::string(knob) +
-                " must be a positive integer, got '" + text + "'");
-    return static_cast<std::uint64_t>(parsed);
-}
-
-std::uint64_t
-ledgerEpochMessages()
-{
-    static std::uint64_t cached =
-        parsePositiveCount(std::getenv("MNOC_EPOCH_MSGS"),
-                           "MNOC_EPOCH_MSGS", 1024);
-    return cached;
-}
-
-bool
-faultsEnabled()
-{
-    static bool cached =
-        parseBoolKnob(std::getenv("MNOC_FAULTS"), "MNOC_FAULTS");
-    return cached;
-}
-
-std::uint64_t
-faultSeed()
-{
-    static std::uint64_t cached =
-        parsePositiveCount(std::getenv("MNOC_FAULT_SEED"),
-                           "MNOC_FAULT_SEED", 1);
-    return cached;
-}
-
-bool
-adaptEnabled()
-{
-    static bool cached =
-        parseBoolKnob(std::getenv("MNOC_ADAPT"), "MNOC_ADAPT");
-    return cached;
-}
-
-std::uint64_t
-adaptWindow()
-{
-    static std::uint64_t cached =
-        parsePositiveCount(std::getenv("MNOC_ADAPT_WINDOW"),
-                           "MNOC_ADAPT_WINDOW", 32);
-    return cached;
-}
-
 MetricsRegistry &
 MetricsRegistry::global()
 {
     static MetricsRegistry *instance = [] {
-        auto *registry = new MetricsRegistry();
-        if (!exportPath().empty())
-            std::atexit(exportGlobalAtExit);
-        return registry;
+        registerKnobExport();
+        return new MetricsRegistry();
     }();
     return *instance;
 }
@@ -330,12 +193,6 @@ void
 MetricsRegistry::setEnabled(bool on)
 {
     enabledFlag().store(on, std::memory_order_relaxed);
-}
-
-std::string
-MetricsRegistry::exportPath()
-{
-    return parsePathKnob(envValue().c_str(), "MNOC_METRICS").path;
 }
 
 Counter &

@@ -14,11 +14,9 @@
  * per-worker slots and merged in slot order on read, so the exported
  * registry is bit-identical at any thread count.
  *
- * Enablement: the MNOC_METRICS environment variable.  Unset, empty,
- * or "0" disables recording (add()/observe()/set() reduce to one
- * predictable branch -- see bench/micro_kernels.cc); "1" enables
- * collection; any other value enables collection *and* writes the
- * registry JSON to that path at process exit.
+ * Enablement: the MNOC_METRICS path-or-flag knob (common/knobs.hh).
+ * Off, add()/observe()/set() cost one predictable branch (see
+ * bench/micro_kernels.cc).
  */
 
 #ifndef MNOC_COMMON_METRICS_HH
@@ -33,6 +31,8 @@
 #include <ostream>
 #include <string>
 #include <vector>
+
+#include "common/knobs.hh"
 
 namespace mnoc {
 
@@ -178,74 +178,6 @@ class Series
     std::array<Shard, kMetricShards> shards_;
 };
 
-/** True when the energy-attribution ledger should be collected
- *  (MNOC_LEDGER unset/empty/"0" disables; overridable in tests). */
-bool ledgerEnabled();
-
-/** Force ledger collection on/off, overriding MNOC_LEDGER. */
-void setLedgerEnabled(bool on);
-
-/** Messages per attribution epoch (MNOC_EPOCH_MSGS, default 1024;
- *  values < 1 are a fatal configuration error). */
-std::uint64_t ledgerEpochMessages();
-
-/**
- * Strict parser behind the counted environment knobs
- * (MNOC_EPOCH_MSGS, MNOC_FAULT_SEED): null or empty @p text yields
- * @p fallback; anything else must parse entirely as a positive
- * integer, or the call fatals naming @p knob and the offending
- * value.  Silent fallback on garbage is deliberately not offered --
- * a mistyped knob must stop the run, not quietly reconfigure it.
- */
-std::uint64_t parsePositiveCount(const char *text, const char *knob,
-                                 std::uint64_t fallback);
-
-/**
- * Strict parser behind the boolean environment knobs (MNOC_LEDGER,
- * MNOC_FAULTS): null, "" and "0" are off, "1" is on, and any other
- * value fatals naming @p knob -- a mistyped knob must stop the
- * run, not silently flip a feature.
- */
-bool parseBoolKnob(const char *text, const char *knob);
-
-/** Parsed value of a path-or-flag knob (MNOC_METRICS,
- *  MNOC_TRACE_SPANS). */
-struct PathKnob
-{
-    bool enabled = false;
-    std::string path; ///< export path ("" when the value was "1")
-};
-
-/**
- * Strict parser behind the path-or-flag environment knobs: null,
- * "" and "0" disable, "1" enables without an export path, and any
- * other value enables with that value as the export path -- except
- * values that are clearly a mistyped flag rather than a path
- * (true/false/yes/no/on/off in any case, or all-digit strings),
- * which fatal naming @p knob.
- */
-PathKnob parsePathKnob(const char *text, const char *knob);
-
-/** True when the runtime fault-injection engine should run
- *  (MNOC_FAULTS: unset, empty or "0" disables, "1" enables; any
- *  other value is a fatal configuration error). */
-bool faultsEnabled();
-
-/** Seed of the runtime fault timeline (MNOC_FAULT_SEED, default 1;
- *  garbage, zero or negative values are a fatal error). */
-std::uint64_t faultSeed();
-
-/** True when the traffic-adaptive controller should fold its
- *  static-vs-adaptive comparison into `mnocpt report` (MNOC_ADAPT:
- *  unset, empty or "0" disables, "1" enables; any other value is a
- *  fatal configuration error). */
-bool adaptEnabled();
-
-/** Trailing traffic window of the adaptive controller, in epochs
- *  (MNOC_ADAPT_WINDOW, default 32; garbage, zero or negative values
- *  are a fatal error). */
-std::uint64_t adaptWindow();
-
 /**
  * Process-wide registry of named metrics.  Registration is
  * mutex-guarded and handles are stable for the registry's lifetime,
@@ -257,14 +189,12 @@ class MetricsRegistry
 {
   public:
     /** The process-wide registry (never destroyed; an MNOC_METRICS
-     *  path registers an at-exit JSON export on first use). */
+     *  path is written at exit by the knob-table exporter,
+     *  common/knobs.hh). */
     static MetricsRegistry &global();
 
     /** Force recording on/off, overriding MNOC_METRICS. */
     static void setEnabled(bool on);
-
-    /** The export path from MNOC_METRICS ("" when none). */
-    static std::string exportPath();
 
     /** Find-or-create the named counter. */
     Counter &counter(const std::string &name);

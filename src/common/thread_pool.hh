@@ -95,13 +95,9 @@ class ThreadPool
     static ThreadPool &global();
 
     /** MNOC_THREADS when set to a valid count, else the hardware
-     *  concurrency (at least 1). */
+     *  concurrency (at least 1); re-reads the environment on every
+     *  call, fatal on garbage (common/knobs.hh). */
     static int configuredThreads();
-
-    /** Parse a thread-count override; returns @p fallback on null
-     *  or empty text and fatals (naming the offending value) on
-     *  garbage, zero, negative or out-of-range input. */
-    static int parseThreads(const char *text, int fallback);
 
   private:
     void workerLoop();

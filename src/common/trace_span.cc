@@ -3,33 +3,22 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <map>
 #include <tuple>
 
 #include "common/io.hh"
 #include "common/json.hh"
+#include "common/knobs.hh"
 #include "common/log.hh"
-#include "common/metrics.hh"
 
 namespace mnoc {
 
 namespace {
 
-/** Raw MNOC_TRACE_SPANS value ("" when unset). */
-std::string
-envValue()
-{
-    const char *value = std::getenv("MNOC_TRACE_SPANS");
-    return value != nullptr ? std::string(value) : std::string();
-}
-
 std::atomic<bool> &
 enabledFlag()
 {
-    static std::atomic<bool> flag(
-        parsePathKnob(envValue().c_str(), "MNOC_TRACE_SPANS")
-            .enabled);
+    static std::atomic<bool> flag(readKnob("MNOC_TRACE_SPANS").enabled);
     return flag;
 }
 
@@ -40,12 +29,6 @@ steadyNowUs()
     auto us =
         std::chrono::duration_cast<std::chrono::microseconds>(now);
     return static_cast<std::uint64_t>(us.count());
-}
-
-void
-exportGlobalAtExit()
-{
-    SpanRecorder::global().writeJson(SpanRecorder::exportPath());
 }
 
 /** Per-thread event buffer and id, registered lazily with the
@@ -67,10 +50,8 @@ SpanRecorder &
 SpanRecorder::global()
 {
     static SpanRecorder *instance = [] {
-        auto *recorder = new SpanRecorder();
-        if (!exportPath().empty())
-            std::atexit(exportGlobalAtExit);
-        return recorder;
+        registerKnobExport();
+        return new SpanRecorder();
     }();
     return *instance;
 }
@@ -79,16 +60,6 @@ void
 SpanRecorder::setEnabled(bool on)
 {
     enabledFlag().store(on, std::memory_order_relaxed);
-}
-
-std::string
-SpanRecorder::exportPath()
-{
-    PathKnob knob =
-        parsePathKnob(envValue().c_str(), "MNOC_TRACE_SPANS");
-    if (!knob.enabled)
-        return "";
-    return knob.path.empty() ? "mnoc_spans.json" : knob.path;
 }
 
 std::uint64_t

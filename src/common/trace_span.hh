@@ -11,11 +11,9 @@
  * them back.  The deterministic counterpart is the metrics registry
  * (common/metrics.hh); DESIGN.md §10 draws the line between the two.
  *
- * Enablement: the MNOC_TRACE_SPANS environment variable.  Unset,
- * empty, or "0" disables recording (constructing a TraceSpan is one
- * predictable branch); "1" records and writes "mnoc_spans.json" in
- * the working directory at process exit; any other value records and
- * writes to that path instead.
+ * Enablement: the MNOC_TRACE_SPANS path-or-flag knob
+ * (common/knobs.hh).  Off, constructing a TraceSpan costs one
+ * predictable branch.
  *
  * Thread model: spans append to per-thread buffers registered under
  * a mutex on first use, so recording from ThreadPool workers never
@@ -55,16 +53,12 @@ class SpanRecorder
 {
   public:
     /** The process-wide recorder (never destroyed; an
-     *  MNOC_TRACE_SPANS path registers an at-exit export on first
-     *  use). */
+     *  MNOC_TRACE_SPANS export is written at exit by the knob-table
+     *  exporter, common/knobs.hh). */
     static SpanRecorder &global();
 
     /** Force recording on/off, overriding MNOC_TRACE_SPANS. */
     static void setEnabled(bool on);
-
-    /** Export path implied by MNOC_TRACE_SPANS ("" when none;
-     *  "mnoc_spans.json" for the value "1"). */
-    static std::string exportPath();
 
     /** Microseconds since the recorder was created. */
     std::uint64_t nowUs() const;

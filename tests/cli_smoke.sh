@@ -77,6 +77,24 @@ MNOC_TRACE_SPANS="$DIR/spans.json" "$MNOCPT" evaluate \
     --csv "$DIR/profile.csv" | grep -q "inclusive"
 grep -q "buildLedgerStreamed" "$DIR/profile.csv"
 
+# Export files are written whenever their knob asks, even by verbs
+# that record nothing: report leaves a span file that profile loads,
+# budget a valid (empty) metrics registry and decision journal.
+MNOC_TRACE_SPANS="$DIR/report_spans.json" "$MNOCPT" report \
+    --design "$DIR/t.design" --trace "$DIR/e.trace" \
+    --map "$DIR/t.map" --dir "$DIR/report_sp" > /dev/null
+"$MNOCPT" profile --spans "$DIR/report_spans.json" > /dev/null
+MNOC_METRICS="$DIR/budget_metrics.json" \
+    MNOC_JOURNAL="$DIR/budget.mjrn" \
+    "$MNOCPT" budget --design "$DIR/t.design" > /dev/null
+grep -q '"schema": "mnoc-metrics-v2"' "$DIR/budget_metrics.json"
+grep -q '"counters": {}' "$DIR/budget_metrics.json"
+if command -v python3 > /dev/null; then
+    python3 -m json.tool "$DIR/budget_metrics.json" > /dev/null
+fi
+"$MNOCPT" explain --journal "$DIR/budget.mjrn" \
+    --dir "$DIR/explain_budget" | grep -q "decision timeline written"
+
 # Suppressed warnings surface in stats even when silenced.
 "$MNOCPT" stats --trace "$DIR/t.trace" \
     | grep -q "log.suppressed_warnings"
@@ -110,6 +128,11 @@ if MNOC_FAULTS=2 "$MNOCPT" report --design "$DIR/t.design" \
     --trace "$DIR/e.trace" --dir "$DIR/report_bad" \
     2>"$DIR/err_knob.txt"; then exit 1; fi
 grep -q "MNOC_FAULTS" "$DIR/err_knob.txt"
+
+# Every knob is validated at start, even one the verb never reads.
+if MNOC_THREADS=abc "$MNOCPT" budget --design "$DIR/t.design" \
+    > /dev/null 2>"$DIR/err_threads.txt"; then exit 1; fi
+grep -q "MNOC_THREADS" "$DIR/err_threads.txt"
 
 # Flight recorder: an adaptive replay under MNOC_JOURNAL records an
 # epoch-anchored decision journal whose bytes are stamped with the

@@ -7,13 +7,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <type_traits>
 
 #include "common/csv.hh"
 #include "common/io.hh"
+#include "common/knobs.hh"
 #include "common/log.hh"
 #include "common/matrix.hh"
 #include "common/metrics.hh"
@@ -526,6 +529,85 @@ TEST(Knobs, AdaptKnobsAreStrictFromDayOne)
     }
     EXPECT_EQ(parsePositiveCount("16", "MNOC_ADAPT_WINDOW", 32),
               16u);
+}
+
+/** Sets an environment knob for one scope, restoring it after. */
+class EnvGuard
+{
+  public:
+    EnvGuard(const char *name, const char *value) : name_(name)
+    {
+        const char *before = std::getenv(name);
+        if (before != nullptr)
+            saved_ = before;
+        wasSet_ = before != nullptr;
+        setenv(name, value, 1);
+    }
+    ~EnvGuard()
+    {
+        if (wasSet_)
+            setenv(name_, saved_.c_str(), 1);
+        else
+            unsetenv(name_);
+    }
+
+  private:
+    const char *name_;
+    std::string saved_;
+    bool wasSet_ = false;
+};
+
+TEST(Knobs, BenchCountsAreStrict)
+{
+    // MNOC_BENCH_CORES/MNOC_BENCH_OPS go through the table's count
+    // parser: garbage and zero must fatal naming the knob, not turn
+    // into a zero-sized run.
+    for (const char *knob : {"MNOC_BENCH_CORES", "MNOC_BENCH_OPS"}) {
+        for (const char *bad : {"abc", "0"}) {
+            EnvGuard env(knob, bad);
+            try {
+                readKnob(knob);
+                FAIL() << knob << " accepted '" << bad << "'";
+            } catch (const FatalError &err) {
+                EXPECT_NE(std::string(err.what()).find(knob),
+                          std::string::npos);
+            }
+        }
+        EnvGuard env(knob, "64");
+        EXPECT_EQ(readKnob(knob).count, 64u);
+    }
+}
+
+TEST(Knobs, ReadKnobAppliesRowDefaults)
+{
+    {
+        // Empty means unset: the row's fallback applies.
+        EnvGuard dir("MNOC_BENCH_DIR", "");
+        EnvGuard ops("MNOC_BENCH_OPS", "");
+        EXPECT_EQ(readKnob("MNOC_BENCH_DIR").path, "bench_out");
+        EXPECT_EQ(readKnob("MNOC_BENCH_OPS").count, 4000u);
+    }
+    {
+        EnvGuard env("MNOC_TRACE_SPANS", "1");
+        EXPECT_TRUE(readKnob("MNOC_TRACE_SPANS").enabled);
+        EXPECT_EQ(readKnob("MNOC_TRACE_SPANS").path, "mnoc_spans.json");
+    }
+    {
+        // A collect-only "1" exports nothing.
+        EnvGuard env("MNOC_METRICS", "1");
+        EXPECT_TRUE(readKnob("MNOC_METRICS").enabled);
+        EXPECT_TRUE(readKnob("MNOC_METRICS").path.empty());
+    }
+}
+
+TEST(Knobs, TableNamesEveryKnobOnce)
+{
+    std::set<std::string> names;
+    for (const KnobSpec &spec : knobTable()) {
+        EXPECT_EQ(std::string(spec.name).rfind("MNOC_", 0), 0u);
+        EXPECT_TRUE(names.insert(spec.name).second) << spec.name;
+    }
+    EXPECT_THROW(readKnob("MNOC_NOT_A_KNOB"), PanicError);
 }
 
 TEST(Knobs, ParseLogLevelKnobIsStrict)

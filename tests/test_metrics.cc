@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -329,6 +332,38 @@ TEST(ManifestTest, CurrentManifestRecordsProcessState)
     EXPECT_EQ(manifest.configDigest, "digest");
     EXPECT_FALSE(manifest.gitSha.empty());
     EXPECT_GE(manifest.threads, 1);
+}
+
+TEST(ManifestTest, CurrentManifestRecordsOutputKnobs)
+{
+    // The ledger and adaptive knobs shape trace and report bytes, so
+    // the manifest must record them when they are set; the log level
+    // changes no output and stays out.
+    const std::vector<std::pair<std::string, std::string>> knobs = {
+        {"MNOC_LEDGER", "1"},      {"MNOC_EPOCH_MSGS", "200"},
+        {"MNOC_ADAPT", "1"},       {"MNOC_ADAPT_WINDOW", "16"},
+        {"MNOC_LOG_LEVEL", "info"},
+    };
+    std::vector<std::optional<std::string>> saved;
+    for (const auto &[name, value] : knobs) {
+        const char *before = std::getenv(name.c_str());
+        saved.push_back(before != nullptr
+                            ? std::optional<std::string>(before)
+                            : std::nullopt);
+        setenv(name.c_str(), value.c_str(), 1);
+    }
+    RunManifest manifest = currentManifest();
+    for (const auto &knob : knobs)
+        EXPECT_EQ(std::find(manifest.env.begin(), manifest.env.end(),
+                            knob) != manifest.env.end(),
+                  knob.first != "MNOC_LOG_LEVEL")
+            << knob.first;
+    for (std::size_t i = 0; i < knobs.size(); ++i) {
+        if (saved[i])
+            setenv(knobs[i].first.c_str(), saved[i]->c_str(), 1);
+        else
+            unsetenv(knobs[i].first.c_str());
+    }
 }
 
 TEST(ManifestTest, JsonFormIsEscapedAndComplete)

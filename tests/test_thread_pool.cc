@@ -10,12 +10,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <numeric>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/knobs.hh"
 #include "common/log.hh"
 #include "common/thread_pool.hh"
 
@@ -159,25 +161,43 @@ TEST(ThreadPool, WorkersActuallyRunConcurrently)
 
 TEST(ThreadPool, ParseThreadsAcceptsCountsRejectsGarbage)
 {
-    EXPECT_EQ(ThreadPool::parseThreads("8", 2), 8);
-    EXPECT_EQ(ThreadPool::parseThreads("1", 2), 1);
+    EXPECT_EQ(parseThreadsKnob("8", "MNOC_THREADS", 2), 8);
+    EXPECT_EQ(parseThreadsKnob("1", "MNOC_THREADS", 2), 1);
     // Unset and empty fall back; anything else must be valid -- a
     // mistyped override is a fatal configuration error, never a
     // silent fallback to a different thread count.
-    EXPECT_EQ(ThreadPool::parseThreads(nullptr, 3), 3);
-    EXPECT_EQ(ThreadPool::parseThreads("", 3), 3);
-    EXPECT_THROW(ThreadPool::parseThreads("0", 3), FatalError);
-    EXPECT_THROW(ThreadPool::parseThreads("-4", 3), FatalError);
-    EXPECT_THROW(ThreadPool::parseThreads("abc", 3), FatalError);
-    EXPECT_THROW(ThreadPool::parseThreads("4x", 3), FatalError);
-    EXPECT_THROW(ThreadPool::parseThreads("999999", 3), FatalError);
+    EXPECT_EQ(parseThreadsKnob(nullptr, "MNOC_THREADS", 3), 3);
+    EXPECT_EQ(parseThreadsKnob("", "MNOC_THREADS", 3), 3);
+    EXPECT_THROW(parseThreadsKnob("0", "MNOC_THREADS", 3), FatalError);
+    EXPECT_THROW(parseThreadsKnob("-4", "MNOC_THREADS", 3), FatalError);
+    EXPECT_THROW(parseThreadsKnob("abc", "MNOC_THREADS", 3), FatalError);
+    EXPECT_THROW(parseThreadsKnob("4x", "MNOC_THREADS", 3), FatalError);
+    EXPECT_THROW(parseThreadsKnob("999999", "MNOC_THREADS", 3), FatalError);
     try {
-        ThreadPool::parseThreads("banana", 3);
+        parseThreadsKnob("banana", "MNOC_THREADS", 3);
         FAIL() << "garbage thread count must throw";
     } catch (const FatalError &error) {
         EXPECT_NE(std::string(error.what()).find("banana"),
                   std::string::npos);
+        EXPECT_NE(std::string(error.what()).find("MNOC_THREADS"),
+                  std::string::npos);
     }
+}
+
+TEST(ThreadPool, ConfiguredThreadsRereadsTheEnvironment)
+{
+    // Callers may set MNOC_THREADS after process start and before
+    // they size a pool; every call must see the current value.
+    const char *before = std::getenv("MNOC_THREADS");
+    std::string saved = before != nullptr ? before : "";
+    setenv("MNOC_THREADS", "3", 1);
+    EXPECT_EQ(ThreadPool::configuredThreads(), 3);
+    setenv("MNOC_THREADS", "5", 1);
+    EXPECT_EQ(ThreadPool::configuredThreads(), 5);
+    if (before != nullptr)
+        setenv("MNOC_THREADS", saved.c_str(), 1);
+    else
+        unsetenv("MNOC_THREADS");
 }
 
 TEST(ThreadPool, GlobalPoolIsConfiguredAndStable)

@@ -10,12 +10,13 @@ docs overhaul relies on:
                  fragment must match a heading in the target page
                  (GitHub slug rules: lowercase, punctuation dropped,
                  spaces to dashes).
-  knob-table     the README environment-knob table and the code agree
-                 in both directions: every `MNOC_*` variable the code
-                 reads (via getenv / envInt) has a README row, and
-                 every README row names a variable the code actually
-                 reads.  The manifest's recorded-knob list must be a
-                 subset of the documented knobs.
+  knob-table     the knob table in src/common/knobs.cc and the README
+                 environment-knob table agree in both directions:
+                 every table row has a README row and every README
+                 row names a table row.  Code under src/, tools/,
+                 bench/ and examples/ reads MNOC_* variables only
+                 through the table, so a `getenv("MNOC_...")`
+                 anywhere but knobs.cc is a finding.
   orphan-doc     every page under docs/ is reachable by following
                  relative links from README.md and DESIGN.md, so no
                  page can silently fall out of the documentation
@@ -44,19 +45,16 @@ DOC_DIRS = ("docs",)
 # Roots of the reachability walk for the orphan-doc rule.
 LINK_ROOTS = ("README.md", "DESIGN.md")
 
-# Directories scanned for MNOC_* environment reads.
+# Directories scanned for MNOC_* environment reads, and the one file
+# allowed to make them.
 CODE_DIRS = ("src", "tools", "bench", "examples")
-
-# MNOC_* identifiers that are not environment knobs: the compile-time
-# git stamp and the header-guard namespace.
-KNOB_EXCLUDE_RE = re.compile(r"^MNOC_GIT_SHA$|_HH$")
+KNOB_TABLE = Path("src/common/knobs.cc")
 
 MD_LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 GETENV_RE = re.compile(r"getenv\(\"(MNOC_[A-Z_]+)\"\)")
-ENVINT_RE = re.compile(r"envInt\(\"(MNOC_[A-Z_]+)\"")
+KNOB_ROW_RE = re.compile(r"\{\"(MNOC_[A-Z_]+)\",\s*KnobKind::")
 README_ROW_RE = re.compile(r"^\|\s*`(MNOC_[A-Z_]+)`\s*\|")
 HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$")
-KNOB_ARRAY_RE = re.compile(r"\"(MNOC_[A-Z_]+)\"")
 
 
 def github_slug(heading: str) -> str:
@@ -131,67 +129,41 @@ def check_links(root: Path, findings: list[str]) -> dict[Path, set]:
     return graph
 
 
-def code_knobs(root: Path) -> dict[str, str]:
-    """Every MNOC_* env variable the code reads, with one site."""
-    knobs: dict[str, str] = {}
-    for sub in CODE_DIRS:
-        for ext in ("*.cc", "*.hh", "*.cpp"):
-            for path in sorted((root / sub).rglob(ext)):
-                if "fixtures" in path.parts:
-                    continue
-                text = path.read_text(encoding="utf-8",
-                                      errors="replace")
-                for regex in (GETENV_RE, ENVINT_RE):
-                    for match in regex.finditer(text):
-                        name = match.group(1)
-                        if not KNOB_EXCLUDE_RE.search(name):
-                            knobs.setdefault(
-                                name, str(path.relative_to(root)))
-    return knobs
-
-
-def readme_knobs(root: Path) -> dict[str, int]:
-    rows: dict[str, int] = {}
-    readme = root / "README.md"
-    for lineno, line in enumerate(
-            readme.read_text(encoding="utf-8").splitlines(), 1):
-        match = README_ROW_RE.match(line)
-        if match:
-            rows.setdefault(match.group(1), lineno)
-    return rows
-
-
-def manifest_knobs(root: Path) -> list[str]:
-    """The recorded-knob array in src/common/manifest.cc."""
-    source = root / "src" / "common" / "manifest.cc"
-    text = source.read_text(encoding="utf-8")
-    match = re.search(r"kKnobs\[\]\s*=\s*\{(.*?)\}", text, re.S)
-    if not match:
-        return []
-    return KNOB_ARRAY_RE.findall(match.group(1))
+def line_matches(path: Path, regex: re.Pattern) -> list[tuple]:
+    """(line number, first group) of every match in a file."""
+    text = path.read_text(encoding="utf-8", errors="replace")
+    return [(lineno, match.group(1))
+            for lineno, line in enumerate(text.splitlines(), 1)
+            for match in regex.finditer(line)]
 
 
 def check_knobs(root: Path, findings: list[str]) -> None:
-    in_code = code_knobs(root)
-    in_readme = readme_knobs(root)
-    for name, site in sorted(in_code.items()):
+    in_table = {name: lineno for lineno, name
+                in line_matches(root / KNOB_TABLE, KNOB_ROW_RE)}
+    in_readme = {name: lineno for lineno, name
+                 in line_matches(root / "README.md", README_ROW_RE)}
+    for name, lineno in sorted(in_table.items()):
         if name not in in_readme:
             findings.append(
-                f"README.md:1: [knob-table] {name} is read by "
-                f"{site} but has no row in the environment-knob "
-                f"table")
+                f"{KNOB_TABLE}:{lineno}: [knob-table] {name} is in "
+                f"the knob table but has no row in the README "
+                f"environment-knob table")
     for name, lineno in sorted(in_readme.items()):
-        if name not in in_code:
+        if name not in in_table:
             findings.append(
                 f"README.md:{lineno}: [knob-table] {name} is "
-                f"documented but nothing under "
-                f"{'/'.join(CODE_DIRS)} reads it")
-    for name in manifest_knobs(root):
-        if name not in in_readme:
-            findings.append(
-                f"src/common/manifest.cc:1: [knob-table] manifest "
-                f"records {name} but the README table does not "
-                f"document it")
+                f"documented but has no row in {KNOB_TABLE}")
+    for sub in CODE_DIRS:
+        for path in sorted((root / sub).rglob("*")):
+            rel = path.relative_to(root)
+            if (path.suffix not in (".cc", ".hh", ".cpp")
+                    or "fixtures" in path.parts or rel == KNOB_TABLE):
+                continue
+            for lineno, name in line_matches(path, GETENV_RE):
+                findings.append(
+                    f"{rel}:{lineno}: [knob-table] reads {name} with "
+                    f"getenv; read it through the knob table in "
+                    f"{KNOB_TABLE}")
 
 
 def check_orphans(root: Path, graph: dict[Path, set],

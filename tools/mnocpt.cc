@@ -86,6 +86,7 @@
 #include "common/csv.hh"
 #include "common/io.hh"
 #include "common/journal.hh"
+#include "common/knobs.hh"
 #include "common/log.hh"
 #include "common/manifest.hh"
 #include "common/metrics.hh"
@@ -1472,6 +1473,7 @@ main(int argc, char **argv)
     }
     std::string command = argv[1];
     try {
+        initKnobs();
         Args args(argc, argv);
         if (command == "simulate")
             return cmdSimulate(args);
