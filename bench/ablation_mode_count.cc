@@ -205,6 +205,7 @@ main()
         csv.cell("oracle").cell(0LL).cell(h);
         csv.endRow();
     }
+    csv.close();
 
     table.print(std::cout);
     std::cout << "\nReading: returns diminish quickly past four modes "

@@ -84,6 +84,7 @@ main()
             csv.endRow();
         }
     }
+    csv.close();
     table.print(std::cout);
 
     std::cout << "\nReading: multicast removes the per-sharer "

@@ -72,6 +72,7 @@ main()
         csv.cell(name).cell(1.0).cell(sa_norm).cell(taboo_norm);
         csv.endRow();
     }
+    csv.close();
     table.addRow({"hmean", "1.000",
                   TextTable::num(harmonicMean(sa_norms), 3),
                   TextTable::num(harmonicMean(taboo_norms), 3),

@@ -72,6 +72,7 @@ main()
         }
         table.addRow(cells);
     }
+    csv.close();
     table.print(std::cout);
 
     std::cout << "\nReading: at 1 dB/cm the radix-256 end source needs "

@@ -15,6 +15,7 @@
 #include "common/table.hh"
 #include "core/energy_ledger.hh"
 #include "harness.hh"
+#include "sim/trace.hh"
 
 using namespace mnoc;
 
@@ -80,7 +81,8 @@ main()
     auto ledgerPower = [&](const core::MnocDesign &design,
                            const sim::Trace &trace,
                            const std::vector<int> &map) {
-        auto ledger = designer.buildLedger(design, trace, map);
+        auto ledger = designer.model().buildLedger(
+            design, sim::mapTrace(trace, map));
         for (int s = 0; s < ledger.numSources(); ++s) {
             for (int m = 0; m < ledger.numModes(); ++m) {
                 double tx = 0.0;
@@ -134,6 +136,7 @@ main()
     row("mNoC (1M)", mnoc);
     row("c_mNoC", cmnoc);
     row("PT_mNoC (4M_T_G_S12)", pt);
+    csv.close();
     table.print(std::cout);
 
     if (optical_injected_j > 0.0)

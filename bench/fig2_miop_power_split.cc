@@ -67,6 +67,7 @@ main()
             .cell(oe);
         csv.endRow();
     }
+    csv.close();
 
     table.print(std::cout);
     std::cout << "\nPaper anchor: at 10 uW mIOP the QD LED source is "

@@ -61,6 +61,7 @@ main()
         csv.cell(static_cast<long long>(d)).cell(rel);
         csv.endRow();
     }
+    csv.close();
     table.print(std::cout);
     std::cout << "\nPaper anchor: power grows super-linearly "
                  "(near-exponentially) with\nbroadcast distance; "

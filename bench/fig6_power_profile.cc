@@ -36,6 +36,7 @@ main()
             .cell(xbar.broadcastPower(s).watts() / peak);
         csv.endRow();
     }
+    csv.close();
 
     TextTable table;
     table.addRow({"source position", "normalized power"});

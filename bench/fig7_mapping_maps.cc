@@ -91,6 +91,7 @@ dumpMatrix(const std::string &path, const FlowMatrix &m)
             csv.cell(m(s, d));
         csv.endRow();
     }
+    csv.close();
 }
 
 } // namespace

@@ -99,6 +99,7 @@ main()
         csv.cell(h);
     }
     csv.endRow();
+    csv.close();
     table.addRow(avg);
     table.print(std::cout);
 

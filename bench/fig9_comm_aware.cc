@@ -115,6 +115,7 @@ main()
         table.addRow(avg);
         table.print(std::cout);
     }
+    csv.close();
 
     std::cout << "\nPaper anchors: comm-aware (G) beats distance-based "
                  "(N) by ~7% at two\nmodes and ~10% at four; S12 "

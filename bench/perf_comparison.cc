@@ -45,6 +45,7 @@ main()
             .cell(speedup);
         csv.endRow();
     }
+    csv.close();
     table.addRow({"geomean", "-", "-",
                   TextTable::num(geometricMean(speedups), 3)});
     table.print(std::cout);

@@ -91,6 +91,7 @@ main()
             .cell(h);
         csv.endRow();
     }
+    csv.close();
     table.print(std::cout);
 
     std::cout << "\nPaper anchor: the clustered 2-mode mapping saves "

@@ -80,6 +80,7 @@ main()
         csv.cell(name).cell(naive).cell(custom).cell(gain);
         csv.endRow();
     }
+    csv.close();
     table.addRow({"mean", "-", "-",
                   TextTable::num(100.0 * mean(gains), 1) + "%"});
     table.print(std::cout);

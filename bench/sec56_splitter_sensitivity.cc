@@ -117,6 +117,7 @@ main()
         csv.cell(variant.label).cell(h).cell(1.0 - h);
         csv.endRow();
     }
+    csv.close();
     table.print(std::cout);
 
     double spread = maxOf(hmeans) - minOf(hmeans);

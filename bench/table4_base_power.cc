@@ -56,6 +56,7 @@ main()
         csv.cell(name).cell(watts).cell(paper.at(name));
         csv.endRow();
     }
+    csv.close();
     table.addRow({"average", TextTable::num(mean(measured), 2),
                   TextTable::num(mean(reported), 2)});
     table.print(std::cout);

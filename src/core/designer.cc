@@ -286,15 +286,6 @@ Designer::evaluate(const MnocDesign &design,
 }
 
 EnergyLedger
-Designer::buildLedger(const MnocDesign &design,
-                      const sim::Trace &thread_trace,
-                      const std::vector<int> &thread_to_core) const
-{
-    sim::Trace mapped = sim::mapTrace(thread_trace, thread_to_core);
-    return model_.buildLedger(design, mapped);
-}
-
-EnergyLedger
 Designer::buildLedgerStreamed(
     const MnocDesign &design, const std::string &trace_path,
     const std::vector<int> &thread_to_core, ThreadPool *pool) const

@@ -185,21 +185,11 @@ class Designer
                             const std::vector<int> &thread_to_core) const;
 
     /**
-     * Energy-attribution ledger of @p design over @p thread_trace
-     * run under @p thread_to_core (core/energy_ledger.hh); the
-     * per-cell view behind evaluate()'s averages.
-     */
-    EnergyLedger buildLedger(
-        const MnocDesign &design, const sim::Trace &thread_trace,
-        const std::vector<int> &thread_to_core) const;
-
-    /**
-     * Streamed equivalent of buildLedger(): attribute the trace at
-     * @p trace_path (single file or sharded directory) batch by
-     * batch under @p thread_to_core, fanning epoch shards across
-     * @p pool (the global pool when null).  Bit-identical to loading
-     * the trace and calling buildLedger(), with peak memory bounded
-     * by one epoch per worker instead of the whole trace.
+     * Energy-attribution ledger of @p design over the trace at
+     * @p trace_path (file or sharded directory), streamed under
+     * @p thread_to_core across @p pool (the global pool when null):
+     * bit-identical to model().buildLedger() over the mapped trace,
+     * with peak memory one epoch per worker.
      */
     EnergyLedger buildLedgerStreamed(
         const MnocDesign &design, const std::string &trace_path,

@@ -174,9 +174,48 @@ MnocPowerModel::attachLosses(const MnocDesign &design,
     });
 }
 
-void
-MnocPowerModel::recordLedgerMetrics(const EnergyLedger &ledger) const
+EnergyLedger
+MnocPowerModel::sizedLedger(const MnocDesign &design,
+                            std::uint64_t total_ticks,
+                            std::size_t trace_epochs,
+                            std::uint64_t messages_per_epoch) const
 {
+    fatalIf(total_ticks == 0, "trace has zero duration");
+    // An epoch-free trace (MNOC_LEDGER was off at capture, or a
+    // version-2 file) attributes the whole run to a single epoch, so
+    // every consumer handles both trace kinds uniformly.
+    EnergyLedger ledger(
+        crossbar_.numNodes(), design.topology.numModes,
+        trace_epochs == 0 ? 1 : trace_epochs,
+        static_cast<double>(total_ticks) / params_.net.clockHz);
+    ledger.epochMsgs_ = messages_per_epoch;
+    return ledger;
+}
+
+namespace {
+
+/** Accrue a dense (core-coordinate) flit matrix into epoch 0 in
+ *  (src, dst) order -- the epoch-free cell source of both builds. */
+void
+accrueDense(const AccrualPlan &plan, EnergyLedger &ledger,
+            const CountMatrix &flits)
+{
+    int n = ledger.numSources();
+    for (int s = 0; s < n; ++s)
+        for (int d = 0; d < n; ++d)
+            plan.accrue(ledger, s, d,
+                        flits(static_cast<std::size_t>(s),
+                              static_cast<std::size_t>(d)),
+                        0);
+}
+
+/** Shared tail of both builds: attach the loss breakdowns, then
+ *  record the build counter and the per-epoch flit series. */
+void
+finishLedger(const MnocPowerModel &model, const MnocDesign &design,
+             EnergyLedger &ledger, ThreadPool *pool)
+{
+    model.attachLosses(design, ledger, pool);
     auto &metrics = MetricsRegistry::global();
     metrics.counter("ledger.builds").add();
     Series &epoch_flits = metrics.series("ledger.epoch_flits");
@@ -189,6 +228,8 @@ MnocPowerModel::recordLedgerMetrics(const EnergyLedger &ledger) const
     }
 }
 
+} // namespace
+
 EnergyLedger
 MnocPowerModel::buildLedger(const MnocDesign &design,
                             const sim::Trace &trace) const
@@ -197,34 +238,19 @@ MnocPowerModel::buildLedger(const MnocDesign &design,
     fatalIf(static_cast<int>(trace.flits.rows()) != n ||
                 static_cast<int>(trace.flits.cols()) != n,
             "trace size mismatch");
-    fatalIf(trace.totalTicks == 0, "trace has zero duration");
-
-    double duration =
-        static_cast<double>(trace.totalTicks) / params_.net.clockHz;
-
-    // An epoch-free trace (MNOC_LEDGER was off at capture, or a
-    // version-2 file) attributes the whole run to a single epoch, so
-    // every consumer handles both trace kinds uniformly.
-    std::size_t num_epochs =
-        trace.epochs.empty() ? 1 : trace.epochs.epochs.size();
-    EnergyLedger ledger(n, design.topology.numModes, num_epochs,
-                        duration);
-    ledger.epochMsgs_ = trace.epochs.messagesPerEpoch;
-
+    EnergyLedger ledger =
+        sizedLedger(design, trace.totalTicks, trace.epochs.epochs.size(),
+                    trace.epochs.messagesPerEpoch);
     AccrualPlan plan(design, params_, crossbar_.params(), n);
     if (trace.epochs.empty()) {
-        for (int s = 0; s < n; ++s)
-            for (int d = 0; d < n; ++d)
-                plan.accrue(ledger, s, d, trace.flits(s, d), 0);
+        accrueDense(plan, ledger, trace.flits);
     } else {
-        for (std::size_t e = 0; e < num_epochs; ++e)
+        for (std::size_t e = 0; e < ledger.numEpochs(); ++e)
             for (const noc::EpochCell &cell : trace.epochs.epochs[e])
                 plan.accrue(ledger, cell.src, cell.dst, cell.flits,
                             e);
     }
-
-    attachLosses(design, ledger, nullptr);
-    recordLedgerMetrics(ledger);
+    finishLedger(*this, design, ledger, nullptr);
     return ledger;
 }
 
@@ -237,23 +263,15 @@ MnocPowerModel::buildLedger(const MnocDesign &design,
     int n = crossbar_.numNodes();
     const sim::TraceHeader &header = reader.header();
     fatalIf(header.numNodes != n, "trace size mismatch");
-    fatalIf(header.totalTicks == 0, "trace has zero duration");
-
-    double duration = static_cast<double>(header.totalTicks) /
-                      params_.net.clockHz;
-    std::size_t num_epochs =
-        header.numEpochs == 0 ? 1 : header.numEpochs;
-    EnergyLedger ledger(n, design.topology.numModes, num_epochs,
-                        duration);
-    ledger.epochMsgs_ = header.messagesPerEpoch;
-
+    EnergyLedger ledger =
+        sizedLedger(design, header.totalTicks, header.numEpochs,
+                    header.messagesPerEpoch);
     AccrualPlan plan(design, params_, crossbar_.params(), n);
     if (header.numEpochs == 0) {
         // Epoch-free trace: fold the streamed messages into a dense
-        // (mapped) flit matrix first, then accrue in (src, dst)
-        // order.  Integer folds are exact in any order, and the
-        // accrual then visits cells exactly as the whole-file path
-        // does, so the ledger is bit-identical to it.
+        // (mapped) flit matrix first.  Integer folds are exact in any
+        // order, so the dense accrual then matches the whole-file
+        // build bit for bit.
         CountMatrix flits(static_cast<std::size_t>(n),
                           static_cast<std::size_t>(n), 0);
         std::vector<sim::TraceMessage> batch;
@@ -271,12 +289,7 @@ MnocPowerModel::buildLedger(const MnocDesign &design,
                       static_cast<std::size_t>(dst)) += msg.flits;
             }
         }
-        for (int s = 0; s < n; ++s)
-            for (int d = 0; d < n; ++d)
-                plan.accrue(ledger, s, d,
-                            flits(static_cast<std::size_t>(s),
-                                  static_cast<std::size_t>(d)),
-                            0);
+        accrueDense(plan, ledger, flits);
     } else {
         // Epoch shards are disjoint epoch ranges and every epoch
         // touches only its own (source, mode, epoch) cells, so
@@ -298,9 +311,7 @@ MnocPowerModel::buildLedger(const MnocDesign &design,
                 });
         });
     }
-
-    attachLosses(design, ledger, pool);
-    recordLedgerMetrics(ledger);
+    finishLedger(*this, design, ledger, pool);
     return ledger;
 }
 

@@ -50,6 +50,18 @@ struct LedgerCell
     {
         return sourceEnergy + oeEnergy + electricalEnergy;
     }
+
+    /** Field-wise sum: totals over epochs, sources or modes. */
+    LedgerCell &
+    operator+=(const LedgerCell &other)
+    {
+        flits += other.flits;
+        txSeconds += other.txSeconds;
+        sourceEnergy += other.sourceEnergy;
+        oeEnergy += other.oeEnergy;
+        electricalEnergy += other.electricalEnergy;
+        return *this;
+    }
 };
 
 /**

@@ -177,8 +177,12 @@ class MnocPowerModel
         const std::vector<std::vector<double>> &weights,
         DecibelLoss design_margin) const;
 
-    /** Bump the ledger build counter and the per-epoch flit series. */
-    void recordLedgerMetrics(const EnergyLedger &ledger) const;
+    /** Empty ledger of both buildLedger() overloads, sized for a
+     *  trace's duration and epoch count (0: epoch-free). */
+    EnergyLedger sizedLedger(const MnocDesign &design,
+                             std::uint64_t total_ticks,
+                             std::size_t trace_epochs,
+                             std::uint64_t messages_per_epoch) const;
 
     const optics::OpticalCrossbar &crossbar_;
     PowerParams params_;

@@ -21,6 +21,14 @@ trap 'rm -rf "$DIR"' EXIT
     --csv "$DIR/t_yield.csv" | grep -q "yield"
 grep -q "worst_margin_db" "$DIR/t_yield.csv"
 
+# A per-draw CSV that cannot be written fails the run, naming the path.
+if [ -c /dev/full ]; then
+    if "$MNOCPT" yield --design "$DIR/t.design" --trials 20 \
+        --csv /dev/full > /dev/null 2>"$DIR/err_full.txt"
+    then exit 1; fi
+    grep -q "/dev/full" "$DIR/err_full.txt"
+fi
+
 # Seed-reproducibility: identical seeds give identical yield reports.
 "$MNOCPT" yield --design "$DIR/t.design" --trials 25 --seed 3 \
     > "$DIR/y1.txt"
@@ -122,6 +130,19 @@ cmp -s "$DIR/faults/mnoc_fault_events.csv" \
     "$DIR/faults2/mnoc_fault_events.csv"
 cmp -s "$DIR/faults/mnoc_reliability.csv" \
     "$DIR/faults2/mnoc_reliability.csv"
+
+# report runs the same replays as the verbs: MNOC_FAULTS=1 matches
+# `faults` and MNOC_ADAPT=1 matches `adapt`, each with default options.
+"$MNOCPT" faults --design "$DIR/t.design" --trace "$DIR/e.trace" \
+    --map "$DIR/t.map" --dir "$DIR/faults_def" > /dev/null
+cmp "$DIR/faults_def/mnoc_reliability.csv" \
+    "$DIR/report_f/mnoc_reliability.csv"
+"$MNOCPT" adapt --design "$DIR/t.design" --trace "$DIR/e.trace" \
+    --map "$DIR/t.map" --dir "$DIR/adapt_def" > /dev/null
+MNOC_ADAPT=1 "$MNOCPT" report --design "$DIR/t.design" \
+    --trace "$DIR/e.trace" --map "$DIR/t.map" \
+    --dir "$DIR/report_a" > /dev/null
+cmp "$DIR/adapt_def/mnoc_adaptive.csv" "$DIR/report_a/mnoc_adaptive.csv"
 
 # Garbage fault knobs must stop the run, naming the knob.
 if MNOC_FAULTS=2 "$MNOCPT" report --design "$DIR/t.design" \

@@ -62,10 +62,18 @@ bad_discarded_result.cc:10: \[discarded-result\]
 bad_discarded_journal.cc:10: \[discarded-result\]
 bad_unclosed_writer.cc:10: \[unclosed-writer\]
 bad_unclosed_journal.cc:10: \[unclosed-writer\]
+bad_unclosed_csv.cc:18: \[unclosed-writer\]
 bad_raw_ofstream.cc:9: \[raw-ofstream\]
 bad_layering.cc:1: \[layering\]
 ring.hh:4: \[include-cycle\]
 EOF
+
+# A writer closed in its own function is clean even when a same-named
+# writer elsewhere in the file is not.
+if grep -q 'bad_unclosed_csv.cc:10:' "$out"; then
+    cat "$out" >&2
+    fail "a writer closed in its own scope was flagged"
+fi
 
 # ...and no clean counterpart (or suppressed site) may appear.
 if grep -E 'ok_[a-z_]+\.cc' "$out"; then

@@ -64,8 +64,8 @@ const std::vector<RuleInfo> kCatalog = {
     {"shared-prng", "determinism", "error",
      "Prng shared by reference across ThreadPool tasks"},
     {"unclosed-writer", "error-handling", "warning",
-     "FileWriter/JournalWriter is never close()d on the checked "
-     "path"},
+     "FileWriter/CsvWriter/JournalWriter is never close()d on the "
+     "checked path"},
     {"unordered-iteration", "determinism", "error",
      "unordered-container iteration reaches a serialization sink"},
     {"unseeded-rng", "determinism", "error",
@@ -577,19 +577,28 @@ class FileChecker
             if (toks_[i].kind != TokKind::Identifier)
                 continue;
             std::string writer_type;
-            if (endsWithWord(toks_[i].text, "FileWriter"))
-                writer_type = "FileWriter";
-            else if (endsWithWord(toks_[i].text, "JournalWriter"))
-                writer_type = "JournalWriter";
-            else
+            for (const char *type :
+                 {"FileWriter", "CsvWriter", "JournalWriter"})
+                if (endsWithWord(toks_[i].text, type))
+                    writer_type = type;
+            if (writer_type.empty())
                 continue;
             const Token &name = toks_[i + 1];
             if (name.kind != TokKind::Identifier ||
                 (!isPunct(toks_[i + 2], '(') &&
                  !isPunct(toks_[i + 2], '{')))
                 continue;
+            // Only a close() in the declaring scope counts: a
+            // same-named writer closed in another function does not
+            // close this one.
             bool closed = false;
-            for (std::size_t k = 0; k + 2 < toks_.size(); ++k)
+            int depth = 0;
+            for (std::size_t k = i + 2; k + 2 < toks_.size() && depth >= 0;
+                 ++k) {
+                if (isPunct(toks_[k], '{'))
+                    ++depth;
+                if (isPunct(toks_[k], '}'))
+                    --depth;
                 if (toks_[k].kind == TokKind::Identifier &&
                     toks_[k].text == name.text &&
                     isPunct(toks_[k + 1], '.') &&
@@ -597,6 +606,7 @@ class FileChecker
                     closed = true;
                     break;
                 }
+            }
             if (!closed)
                 add(name.line, "unclosed-writer",
                     writer_type + " '" + name.text +

@@ -79,6 +79,7 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -272,6 +273,70 @@ identity(int cores)
         map[i] = i;
     return map;
 }
+
+/** The loaded --design, a context sized for it and the --map mapping
+ *  (identity when absent): where every design + trace verb starts. */
+struct DesignRun
+{
+    explicit DesignRun(const Args &args)
+        : design(core::loadDesign(args.get("design"))),
+          cores(design.topology.numNodes), ctx(cores),
+          mapping(args.has("map") ? loadMapping(args.get("map"), cores)
+                                  : identity(cores))
+    {
+    }
+
+    core::MnocDesign design;
+    int cores;
+    Context ctx;
+    std::vector<int> mapping;
+};
+
+/** A DesignRun with its --trace streamed (never materialized) into
+ *  the static ledger.  The journal is stamped with the trace's
+ *  manifest, like every artifact, so its bytes do not depend on the
+ *  rendering process's pool size. */
+struct AttributedRun : DesignRun
+{
+    explicit AttributedRun(const Args &args)
+        : DesignRun(args), reader(args.get("trace")),
+          stamp(manifestJson(reader.header().manifest)),
+          ledger(attribute())
+    {
+    }
+
+    sim::TraceReader reader;
+    /** The trace's embedded manifest: artifacts describe the captured
+     *  run, not this invocation, and stay stable on re-rendering. */
+    std::string stamp;
+    core::EnergyLedger ledger;
+
+  private:
+    core::EnergyLedger
+    attribute()
+    {
+        sim::checkCoreMapping(mapping, reader.header().numNodes);
+        if (journalEnabled())
+            Journal::global().setManifest(stamp);
+        return ctx.designer.model().buildLedger(design, reader,
+                                                &mapping);
+    }
+};
+
+/** Artifact paths: base is "<--dir>/<--prefix>" (default "./mnoc_");
+ *  the directory is created. */
+struct ArtifactDir
+{
+    explicit ArtifactDir(const Args &args)
+        : prefix(args.get("prefix", "mnoc_")),
+          base(args.get("dir", ".") + "/" + prefix)
+    {
+        std::filesystem::create_directories(args.get("dir", "."));
+    }
+
+    std::string prefix;
+    std::string base;
+};
 
 /** True when @p out names a sharded trace directory (.mshards). */
 bool
@@ -472,6 +537,7 @@ cmdYield(const Args &args)
                 .cell(static_cast<long long>(draw.leakFailures));
             csv.endRow();
         }
+        csv.close();
         std::cout << "per-draw results written to " << args.get("csv")
                   << "\n";
     }
@@ -544,15 +610,9 @@ cmdDesign(const Args &args)
 int
 cmdEvaluate(const Args &args)
 {
-    auto design = core::loadDesign(args.get("design"));
-    int cores = design.topology.numNodes;
-    Context ctx(cores);
-
-    auto mapping = args.has("map")
-                       ? loadMapping(args.get("map"), cores)
-                       : identity(cores);
-    auto breakdown = ctx.designer.evaluateStreamed(
-        design, args.get("trace"), mapping);
+    DesignRun run(args);
+    auto breakdown = run.ctx.designer.evaluateStreamed(
+        run.design, args.get("trace"), run.mapping);
 
     TextTable table;
     table.addRow({"component", "power (W)"});
@@ -603,34 +663,70 @@ sci(double value)
     return os.str();
 }
 
-/** One as-fabricated draw for the runtime controller to degrade
- *  from; --vtol 0 (the default for `faults`) gives the identity
- *  draw, i.e. a nominal die. */
-faults::DeviceVariation
-drawBaseVariation(const Context &ctx, int cores, double vtol,
-                  std::uint64_t vseed)
+/** One fault replay: the seeded timeline and the controller's log. */
+struct FaultReplay
 {
+    runtime::FaultTimeline timeline;
+    runtime::DegradationLog log;
+};
+
+/** Replay @p run's epochs under a fault timeline (@p seed, rates
+ *  scaled by @p fault_scale) with the degradation controller holding
+ *  @p link_margin dB and charging the static ledger.  The die starts
+ *  from one variation draw (@p vtol, @p vseed); vtol 0 is nominal. */
+FaultReplay
+replayFaults(AttributedRun &run, std::uint64_t seed, double fault_scale,
+             double vtol, std::uint64_t vseed, double link_margin)
+{
+    runtime::FaultTimeline timeline(
+        runtime::FaultTimelineSpec{}.scaled(fault_scale), run.cores,
+        run.design.topology.numModes, run.ledger.numEpochs(), seed);
     Prng prng(vseed);
-    return faults::drawVariation(faults::VariationSpec{}.scaled(vtol),
-                                 ctx.crossbar.params(), cores, prng);
+    auto variation = faults::drawVariation(
+        faults::VariationSpec{}.scaled(vtol), run.ctx.crossbar.params(),
+        run.cores, prng);
+    runtime::DegradationPolicy policy;
+    policy.requiredMargin = DecibelLoss(link_margin);
+    auto log = runtime::runDegradationController(
+        run.ctx.layout, run.design, variation, timeline, policy,
+        &run.ledger);
+    return {std::move(timeline), std::move(log)};
+}
+
+/** Worst link margins (dB) across a replay's epochs, before and after
+ *  the controller acted; 1e9 when no epoch was replayed. */
+struct WorstMargins
+{
+    double before = 1e9;
+    double after = 1e9;
+};
+
+WorstMargins
+worstMargins(const runtime::DegradationLog &log)
+{
+    WorstMargins worst;
+    for (const auto &epoch : log.epochs) {
+        worst.before = std::min(worst.before, epoch.marginBefore.dB());
+        worst.after = std::min(worst.after, epoch.marginAfter.dB());
+    }
+    return worst;
 }
 
 /** Per-epoch reliability time series: margins around the rule table,
  *  actions fired, surviving mode count, and the epoch's energy
  *  including the charged reconfiguration cells. */
 void
-writeReliabilityCsv(const std::string &path, const std::string &stamp,
-                    const core::EnergyLedger &ledger,
+writeReliabilityCsv(const std::string &path, const AttributedRun &run,
                     const runtime::DegradationLog &log)
 {
     CsvWriter csv(path);
-    csv.writeRow({"# " + stamp});
+    csv.writeRow({"# " + run.stamp});
     csv.writeRow({"epoch", "active_faults", "margin_before_db",
                   "margin_after_db", "actions", "num_modes",
                   "reconfig_energy_j", "total_energy_j"});
     for (const auto &epoch : log.epochs) {
-        double window = ledger.reconfigEnergy(epoch.epoch) +
-                        ledger.epochAttributedEnergy(epoch.epoch);
+        double window = run.ledger.reconfigEnergy(epoch.epoch) +
+                        run.ledger.epochAttributedEnergy(epoch.epoch);
         csv.cell(static_cast<long long>(epoch.epoch))
             .cell(static_cast<long long>(epoch.activeFaults))
             .cell(epoch.marginBefore.dB())
@@ -647,58 +743,26 @@ writeReliabilityCsv(const std::string &path, const std::string &stamp,
 int
 cmdFaults(const Args &args)
 {
-    auto design = core::loadDesign(args.get("design"));
-    int cores = design.topology.numNodes;
-    Context ctx(cores);
-
-    auto mapping = args.has("map")
-                       ? loadMapping(args.get("map"), cores)
-                       : identity(cores);
-    // Streamed attribution: the trace is pulled epoch by epoch, never
-    // materialized, so fault replays scale to radix-4096 captures.
-    sim::TraceReader reader(args.get("trace"));
-    sim::checkCoreMapping(mapping, reader.header().numNodes);
-    auto ledger =
-        ctx.designer.model().buildLedger(design, reader, &mapping);
-    const RunManifest trace_manifest = reader.header().manifest;
-    // Journal bytes must not depend on the rendering process's pool
-    // size, so the header is stamped with the trace's manifest, the
-    // same provenance the CSV artifacts carry.
-    if (journalEnabled())
-        Journal::global().setManifest(manifestJson(trace_manifest));
-
+    AttributedRun run(args);
     std::uint64_t seed =
         args.has("seed")
             ? static_cast<std::uint64_t>(args.getInt("seed", 1))
             : faultSeed();
-    auto spec = runtime::FaultTimelineSpec{}.scaled(
-        args.getDouble("fault-scale", 1.0));
-    runtime::FaultTimeline timeline(spec, cores,
-                                    design.topology.numModes,
-                                    ledger.numEpochs(), seed);
-    auto variation = drawBaseVariation(
-        ctx, cores, args.getDouble("vtol", 0.0),
-        static_cast<std::uint64_t>(args.getInt("vseed", 1)));
-
-    runtime::DegradationPolicy policy;
-    policy.requiredMargin =
-        DecibelLoss(args.getDouble("link-margin", 0.0));
-    auto log = runtime::runDegradationController(
-        ctx.layout, design, variation, timeline, policy, &ledger);
-
-    double worst_before = 1e9, worst_after = 1e9;
-    for (const auto &epoch : log.epochs) {
-        worst_before = std::min(worst_before,
-                                epoch.marginBefore.dB());
-        worst_after = std::min(worst_after, epoch.marginAfter.dB());
-    }
+    auto replay = replayFaults(
+        run, seed, args.getDouble("fault-scale", 1.0),
+        args.getDouble("vtol", 0.0),
+        static_cast<std::uint64_t>(args.getInt("vseed", 1)),
+        args.getDouble("link-margin", 0.0));
+    const auto &log = replay.log;
+    WorstMargins worst = worstMargins(log);
 
     using runtime::ActionKind;
     TextTable table;
     table.addRow({"metric", "value"});
     table.addRow({"epochs", std::to_string(log.epochs.size())});
     table.addRow(
-        {"fault events", std::to_string(timeline.events().size())});
+        {"fault events",
+         std::to_string(replay.timeline.events().size())});
     table.addRow({"fault seed", std::to_string(seed)});
     table.addRow({"trims", std::to_string(log.countActions(
                                ActionKind::Trim))});
@@ -713,26 +777,21 @@ cmdFaults(const Args &args)
     table.addRow({"final modes",
                   std::to_string(log.finalNumModes)});
     table.addRow({"worst margin before (dB)",
-                  TextTable::num(worst_before, 3)});
+                  TextTable::num(worst.before, 3)});
     table.addRow({"worst margin after (dB)",
-                  TextTable::num(worst_after, 3)});
+                  TextTable::num(worst.after, 3)});
     table.addRow({"reconfig energy (J)",
                   sci(log.totalReconfigEnergy)});
     table.print(std::cout);
 
-    std::string dir = args.get("dir", ".");
-    std::filesystem::create_directories(dir);
-    std::string prefix = args.get("prefix", "mnoc_");
-    std::string base = dir + "/" + prefix;
-    std::string stamp = manifestJson(trace_manifest);
-
-    std::string events_csv = base + "fault_events.csv";
+    ArtifactDir artifacts(args);
+    std::string events_csv = artifacts.base + "fault_events.csv";
     {
         CsvWriter csv(events_csv);
-        csv.writeRow({"# " + stamp});
+        csv.writeRow({"# " + run.stamp});
         csv.writeRow({"kind", "start_epoch", "end_epoch", "node",
                       "mode", "magnitude"});
-        for (const auto &event : timeline.events()) {
+        for (const auto &event : replay.timeline.events()) {
             csv.cell(faultKindName(event.kind))
                 .cell(static_cast<long long>(event.startEpoch))
                 .cell(static_cast<long long>(event.endEpoch))
@@ -744,8 +803,8 @@ cmdFaults(const Args &args)
         csv.close();
     }
 
-    std::string reliability_csv = base + "reliability.csv";
-    writeReliabilityCsv(reliability_csv, stamp, ledger, log);
+    std::string reliability_csv = artifacts.base + "reliability.csv";
+    writeReliabilityCsv(reliability_csv, run, log);
 
     std::cout << "fault log written to " << events_csv
               << ", reliability series to " << reliability_csv
@@ -793,31 +852,40 @@ writeAdaptiveCsv(const std::string &path, const std::string &stamp,
     csv.close();
 }
 
+/** One adaptive replay: the controller's log and its reconciliation
+ *  against the static ledger. */
+struct AdaptiveReplay
+{
+    runtime::AdaptiveLog log;
+    runtime::AdaptiveComparison comparison;
+};
+
+/** Replay @p run's trace again, through a second reader, under the
+ *  adaptive controller into a ledger sized like the static one, and
+ *  reconcile the two. */
+AdaptiveReplay
+replayAdaptive(const AttributedRun &run,
+               const runtime::AdaptivePolicy &policy)
+{
+    sim::TraceReader reader(run.reader.path());
+    core::EnergyLedger adaptive_ledger(
+        run.cores, run.design.topology.numModes, run.ledger.numEpochs(),
+        run.ledger.durationSeconds());
+    auto log = runtime::runAdaptiveController(
+        run.ctx.designer, run.design, policy, reader, &run.mapping,
+        &adaptive_ledger);
+    auto comparison =
+        runtime::reconcileAdaptive(run.ledger, adaptive_ledger, log);
+    return {std::move(log), comparison};
+}
+
 int
 cmdAdapt(const Args &args)
 {
-    auto design = core::loadDesign(args.get("design"));
-    int cores = design.topology.numNodes;
-    Context ctx(cores);
-
-    auto mapping = args.has("map")
-                       ? loadMapping(args.get("map"), cores)
-                       : identity(cores);
-
     // Pass 1 -- static baseline: the deployed design accrues the
-    // whole trace, exactly as `report` would attribute it.
-    sim::TraceReader static_reader(args.get("trace"));
-    sim::checkCoreMapping(mapping, static_reader.header().numNodes);
-    auto static_ledger = ctx.designer.model().buildLedger(
-        design, static_reader, &mapping);
-    const RunManifest trace_manifest =
-        static_reader.header().manifest;
-    // Same rule as the CSV artifacts: stamp the journal with the
-    // trace's manifest so its bytes are thread-count-invariant.
-    if (journalEnabled())
-        Journal::global().setManifest(manifestJson(trace_manifest));
-
-    runtime::AdaptivePolicy policy = adaptivePolicy(design);
+    // whole trace, exactly as `report` attributes it.
+    AttributedRun run(args);
+    runtime::AdaptivePolicy policy = adaptivePolicy(run.design);
     policy.phaseChangeThreshold = args.getDouble(
         "phase-threshold", policy.phaseChangeThreshold);
     if (args.has("window"))
@@ -834,16 +902,10 @@ cmdAdapt(const Args &args)
     policy.candidateMargin =
         DecibelLoss(args.getDouble("margin", 0.0));
 
-    // Pass 2 -- the adaptive run, accruing into its own ledger.
-    sim::TraceReader reader(args.get("trace"));
-    core::EnergyLedger adaptive_ledger(
-        cores, design.topology.numModes, static_ledger.numEpochs(),
-        static_ledger.durationSeconds());
-    auto log = runtime::runAdaptiveController(
-        ctx.designer, design, policy, reader, &mapping,
-        &adaptive_ledger);
-    auto comparison = runtime::reconcileAdaptive(
-        static_ledger, adaptive_ledger, log);
+    // Pass 2 -- the adaptive run.
+    auto replay = replayAdaptive(run, policy);
+    const auto &log = replay.log;
+    const auto &comparison = replay.comparison;
 
     using runtime::AdaptiveActionKind;
     TextTable table;
@@ -883,19 +945,14 @@ cmdAdapt(const Args &args)
                                      3)});
     table.print(std::cout);
 
-    std::string dir = args.get("dir", ".");
-    std::filesystem::create_directories(dir);
-    std::string prefix = args.get("prefix", "mnoc_");
-    std::string base = dir + "/" + prefix;
-    std::string stamp = manifestJson(trace_manifest);
+    ArtifactDir artifacts(args);
+    std::string adaptive_csv = artifacts.base + "adaptive.csv";
+    writeAdaptiveCsv(adaptive_csv, run.stamp, log);
 
-    std::string adaptive_csv = base + "adaptive.csv";
-    writeAdaptiveCsv(adaptive_csv, stamp, log);
-
-    std::string actions_csv = base + "adaptive_actions.csv";
+    std::string actions_csv = artifacts.base + "adaptive_actions.csv";
     {
         CsvWriter csv(actions_csv);
-        csv.writeRow({"# " + stamp});
+        csv.writeRow({"# " + run.stamp});
         csv.writeRow(
             {"epoch", "kind", "design", "gain", "energy_cost_j"});
         for (const auto &action : log.actions) {
@@ -917,116 +974,43 @@ cmdAdapt(const Args &args)
 int
 cmdReport(const Args &args)
 {
-    auto design = core::loadDesign(args.get("design"));
-    int cores = design.topology.numNodes;
-    Context ctx(cores);
+    AttributedRun run(args);
+    const sim::TraceHeader &trace_header = run.reader.header();
+    const core::EnergyLedger &ledger = run.ledger;
+    int cores = run.cores;
 
-    auto mapping = args.has("map")
-                       ? loadMapping(args.get("map"), cores)
-                       : identity(cores);
-    // Streamed attribution: epoch shards fan out across the
-    // MNOC_THREADS pool; the rendered bytes are identical to the
-    // whole-file path at any thread count.
-    sim::TraceReader reader(args.get("trace"));
-    const sim::TraceHeader &trace_header = reader.header();
-    sim::checkCoreMapping(mapping, trace_header.numNodes);
-    if (journalEnabled())
-        Journal::global().setManifest(
-            manifestJson(trace_header.manifest));
-    auto ledger =
-        ctx.designer.model().buildLedger(design, reader, &mapping);
-
-    // MNOC_FAULTS=1 replays the epochs under the default fault
-    // timeline (seeded by MNOC_FAULT_SEED) before the averages are
+    // MNOC_FAULTS=1 replays the epochs under the `faults` verb's
+    // default timeline (seeded by MNOC_FAULT_SEED; unscaled rates,
+    // nominal die, no margin requirement) before the averages are
     // taken, so the report's power numbers include the charged
     // reconfiguration energy.  Off by default: the unfaulted report
     // stays byte-identical.
-    bool faults_on = faultsEnabled();
-    runtime::DegradationLog deg_log;
-    std::size_t fault_events = 0;
-    std::uint64_t fault_seed_used = 0;
-    if (faults_on) {
-        fault_seed_used = faultSeed();
-        runtime::FaultTimeline timeline(
-            runtime::FaultTimelineSpec{}, cores,
-            design.topology.numModes, ledger.numEpochs(),
-            fault_seed_used);
-        fault_events = timeline.events().size();
-        auto variation = drawBaseVariation(ctx, cores, 0.0, 1);
-        deg_log = runtime::runDegradationController(
-            ctx.layout, design, variation, timeline,
-            runtime::DegradationPolicy{}, &ledger);
-    }
+    std::optional<FaultReplay> faulted;
+    if (faultsEnabled())
+        faulted.emplace(replayFaults(run, faultSeed(), 1.0, 0.0, 1, 0.0));
     auto power = ledger.averagePower();
 
-    // MNOC_ADAPT=1 replays the epochs a second time under the
-    // traffic-driven adaptive controller and adds a static-vs-
+    // MNOC_ADAPT=1 replays the epochs a second time exactly as the
+    // `adapt` verb does with default options and adds a static-vs-
     // adaptive comparison section.  Off by default: the static
     // report stays byte-identical.
-    bool adapt_on = adaptEnabled();
-    runtime::AdaptiveLog adapt_log;
-    runtime::AdaptiveComparison adapt_cmp;
-    if (adapt_on) {
-        runtime::AdaptivePolicy policy = adaptivePolicy(design);
-        sim::TraceReader adapt_reader(args.get("trace"));
-        core::EnergyLedger adaptive_ledger(
-            cores, design.topology.numModes, ledger.numEpochs(),
-            ledger.durationSeconds());
-        adapt_log = runtime::runAdaptiveController(
-            ctx.designer, design, policy, adapt_reader, &mapping,
-            &adaptive_ledger);
-        adapt_cmp = runtime::reconcileAdaptive(ledger,
-                                               adaptive_ledger,
-                                               adapt_log);
-    }
+    std::optional<AdaptiveReplay> adapted;
+    if (adaptEnabled())
+        adapted.emplace(replayAdaptive(run, adaptivePolicy(run.design)));
 
-    std::string dir = args.get("dir", ".");
-    std::filesystem::create_directories(dir);
-    std::string prefix = args.get("prefix", "mnoc_");
-    std::string base = dir + "/" + prefix;
-    // Stamp artifacts with the *trace's* embedded manifest: the
-    // report describes that captured run, not this invocation, and
-    // the stamp stays stable when the same trace is re-rendered.
-    std::string stamp = manifestJson(trace_header.manifest);
+    ArtifactDir artifacts(args);
+    const std::string &prefix = artifacts.prefix;
+    const std::string &base = artifacts.base;
+    const std::string &stamp = run.stamp;
 
     int modes = ledger.numModes();
     std::size_t num_epochs = ledger.numEpochs();
 
-    // Per-(source, mode) totals across epochs, and the
-    // time-weighted optical-loss energy attribution.
-    std::vector<core::LedgerCell> totals(
-        static_cast<std::size_t>(cores) *
-        static_cast<std::size_t>(modes));
-    optics::ChainLossBreakdown optical; // joules, not watts, here
-    for (int s = 0; s < cores; ++s) {
-        for (int m = 0; m < modes; ++m) {
-            auto &total =
-                totals[static_cast<std::size_t>(s) *
-                           static_cast<std::size_t>(modes) +
-                       static_cast<std::size_t>(m)];
-            for (std::size_t e = 0; e < num_epochs; ++e) {
-                const auto &cell = ledger.cell(s, m, e);
-                total.flits += cell.flits;
-                total.txSeconds += cell.txSeconds;
-                total.sourceEnergy += cell.sourceEnergy;
-                total.oeEnergy += cell.oeEnergy;
-                total.electricalEnergy += cell.electricalEnergy;
-            }
-            const auto &loss = ledger.loss(s, m);
-            double tx = total.txSeconds;
-            optical.injected += tx * loss.injected;
-            optical.sourceCoupling += tx * loss.sourceCoupling;
-            optical.sourceSplit += tx * loss.sourceSplit;
-            optical.waveguide += tx * loss.waveguide;
-            optical.tapInsertion += tx * loss.tapInsertion;
-            optical.receiverCoupling += tx * loss.receiverCoupling;
-            optical.delivered += tx * loss.delivered;
-            optical.residual += tx * loss.residual;
-        }
-    }
-
-    // Per-(source, mode) attribution table.
+    // Per-(source, mode) attribution table: totals across epochs,
+    // with the time-weighted optical-loss energy attribution summed
+    // alongside.
     std::string power_csv = base + "power.csv";
+    optics::ChainLossBreakdown optical; // joules, not watts, here
     {
         CsvWriter csv(power_csv);
         csv.writeRow({"# " + stamp});
@@ -1039,13 +1023,21 @@ cmdReport(const Args &args)
                       "residual_w"});
         for (int s = 0; s < cores; ++s) {
             for (int m = 0; m < modes; ++m) {
-                const auto &total =
-                    totals[static_cast<std::size_t>(s) *
-                               static_cast<std::size_t>(modes) +
-                           static_cast<std::size_t>(m)];
+                core::LedgerCell total;
+                for (std::size_t e = 0; e < num_epochs; ++e)
+                    total += ledger.cell(s, m, e);
+                const auto &loss = ledger.loss(s, m);
+                double tx = total.txSeconds;
+                optical.injected += tx * loss.injected;
+                optical.sourceCoupling += tx * loss.sourceCoupling;
+                optical.sourceSplit += tx * loss.sourceSplit;
+                optical.waveguide += tx * loss.waveguide;
+                optical.tapInsertion += tx * loss.tapInsertion;
+                optical.receiverCoupling += tx * loss.receiverCoupling;
+                optical.delivered += tx * loss.delivered;
+                optical.residual += tx * loss.residual;
                 if (total.flits == 0)
                     continue;
-                const auto &loss = ledger.loss(s, m);
                 csv.cell(static_cast<long long>(s))
                     .cell(static_cast<long long>(m))
                     .cell(static_cast<long long>(total.flits))
@@ -1077,16 +1069,9 @@ cmdReport(const Args &args)
                       "electrical_energy_j", "total_energy_j"});
         for (std::size_t e = 0; e < num_epochs; ++e) {
             core::LedgerCell window;
-            for (int s = 0; s < cores; ++s) {
-                for (int m = 0; m < modes; ++m) {
-                    const auto &cell = ledger.cell(s, m, e);
-                    window.flits += cell.flits;
-                    window.txSeconds += cell.txSeconds;
-                    window.sourceEnergy += cell.sourceEnergy;
-                    window.oeEnergy += cell.oeEnergy;
-                    window.electricalEnergy += cell.electricalEnergy;
-                }
-            }
+            for (int s = 0; s < cores; ++s)
+                for (int m = 0; m < modes; ++m)
+                    window += ledger.cell(s, m, e);
             csv.cell(static_cast<long long>(e))
                 .cell(static_cast<long long>(window.flits))
                 .cell(window.txSeconds)
@@ -1105,13 +1090,13 @@ cmdReport(const Args &args)
 
     // Per-epoch reliability time series (faulted runs only).
     std::string reliability_csv = base + "reliability.csv";
-    if (faults_on)
-        writeReliabilityCsv(reliability_csv, stamp, ledger, deg_log);
+    if (faulted)
+        writeReliabilityCsv(reliability_csv, run, faulted->log);
 
     // Per-epoch adaptive time series (MNOC_ADAPT=1 runs only).
     std::string adaptive_csv = base + "adaptive.csv";
-    if (adapt_on)
-        writeAdaptiveCsv(adaptive_csv, stamp, adapt_log);
+    if (adapted)
+        writeAdaptiveCsv(adaptive_csv, stamp, adapted->log);
 
     // Markdown summary.
     std::string report_md = base + "report.md";
@@ -1140,7 +1125,7 @@ cmdReport(const Args &args)
         out << "| QD LED source | " << sci(power.source) << " |\n";
         out << "| O/E conversion | " << sci(power.oe) << " |\n";
         out << "| electrical | " << sci(power.electrical) << " |\n";
-        if (faults_on)
+        if (faulted)
             out << "| reconfiguration | " << sci(power.reconfig)
                 << " |\n";
         out << "| total | " << sci(power.total()) << " |\n\n";
@@ -1164,20 +1149,18 @@ cmdReport(const Args &args)
         out << "| delivered | " << sci(optical.delivered) << " |\n";
         out << "| residual | " << sci(optical.residual) << " |\n\n";
 
-        if (faults_on) {
+        if (faulted) {
             using runtime::ActionKind;
-            double worst_after = 1e9;
-            for (const auto &epoch : deg_log.epochs)
-                worst_after = std::min(worst_after,
-                                       epoch.marginAfter.dB());
+            const auto &deg_log = faulted->log;
             out << "## Reliability (MNOC_FAULTS=1)\n\n";
             out << "Epochs replayed under the runtime fault "
                    "timeline (seed "
-                << fault_seed_used
+                << faultSeed()
                 << ") with the graceful-degradation controller.\n\n";
             out << "| metric | value |\n";
             out << "|---|---|\n";
-            out << "| fault events | " << fault_events << " |\n";
+            out << "| fault events | "
+                << faulted->timeline.events().size() << " |\n";
             out << "| trims | "
                 << deg_log.countActions(ActionKind::Trim) << " |\n";
             out << "| relaxes | "
@@ -1194,13 +1177,16 @@ cmdReport(const Args &args)
             out << "| final modes | " << deg_log.finalNumModes
                 << " |\n";
             out << "| worst post-action margin (dB) | "
-                << TextTable::num(worst_after, 3) << " |\n";
+                << TextTable::num(worstMargins(deg_log).after, 3)
+                << " |\n";
             out << "| reconfiguration energy (J) | "
                 << sci(deg_log.totalReconfigEnergy) << " |\n\n";
         }
 
-        if (adapt_on) {
+        if (adapted) {
             using runtime::AdaptiveActionKind;
+            const auto &adapt_log = adapted->log;
+            const auto &adapt_cmp = adapted->comparison;
             out << "## Adaptive runtime (MNOC_ADAPT=1)\n\n";
             out << "Epochs replayed under the traffic-driven "
                    "mode-re-selection controller ("
@@ -1253,10 +1239,10 @@ cmdReport(const Args &args)
             << "epochs.csv\n";
         out << "- (epoch, source) power heatmap: " << prefix
             << "source_power.pgm\n";
-        if (faults_on)
+        if (faulted)
             out << "- per-epoch reliability series: " << prefix
                 << "reliability.csv\n";
-        if (adapt_on)
+        if (adapted)
             out << "- per-epoch adaptive series: " << prefix
                 << "adaptive.csv\n";
         writer.close();
@@ -1265,9 +1251,9 @@ cmdReport(const Args &args)
     std::cout << "report written to " << report_md << " (+ "
               << prefix << "power.csv, " << prefix << "epochs.csv, "
               << prefix << "source_power.pgm";
-    if (faults_on)
+    if (faulted)
         std::cout << ", " << prefix << "reliability.csv";
-    if (adapt_on)
+    if (adapted)
         std::cout << ", " << prefix << "adaptive.csv";
     std::cout << ")\n";
     return 0;
@@ -1331,18 +1317,14 @@ cmdExplain(const Args &args)
     std::string journal_path = args.get("journal");
     JournalFile journal = loadJournal(journal_path);
 
-    std::string dir = args.get("dir", ".");
-    std::filesystem::create_directories(dir);
-    std::string prefix = args.get("prefix", "mnoc_");
-    std::string base = dir + "/" + prefix;
-
-    std::string md_path = base + "explain.md";
+    ArtifactDir artifacts(args);
+    std::string md_path = artifacts.base + "explain.md";
     {
         FileWriter writer(md_path);
         writer.stream() << renderExplainMarkdown(journal);
         writer.close();
     }
-    std::string csv_path = base + "timeline.csv";
+    std::string csv_path = artifacts.base + "timeline.csv";
     {
         FileWriter writer(csv_path);
         writer.stream() << renderExplainTimelineCsv(journal);
@@ -1351,7 +1333,7 @@ cmdExplain(const Args &args)
     // Counter/instant overlay for chrome://tracing; composes with a
     // MNOC_TRACE_SPANS capture of the same run (profile skips the
     // non-"X" phases).
-    std::string trace_path = base + "explain_trace.json";
+    std::string trace_path = artifacts.base + "explain_trace.json";
     {
         FileWriter writer(trace_path);
         writer.stream() << renderExplainTrace(journal);
