@@ -8,9 +8,11 @@
  */
 
 #include <iostream>
+#include <string>
 #include <vector>
 
 #include "common/csv.hh"
+#include "common/log.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
 #include "core/energy_ledger.hh"
@@ -19,8 +21,10 @@
 
 using namespace mnoc;
 
+namespace {
+
 int
-main()
+run()
 {
     bench::Harness harness;
     bench::printHeader("Total NoC energy relative to rNoC",
@@ -33,6 +37,14 @@ main()
 
     core::RnocPowerModel rnoc_model{core::RnocParams{}};
     core::CmnocPowerModel cmnoc_model;
+    const auto &clusters = cmnoc_model.params();
+    int cmnoc_cores = clusters.radix * clusters.clusterSize;
+    fatalIf(n != cmnoc_cores,
+            "MNOC_BENCH_CORES=" + std::to_string(n) +
+                ": Figure 10 needs " + std::to_string(cmnoc_cores) +
+                " cores, the clustered c_mNoC model's radix-" +
+                std::to_string(clusters.radix) + " crossbar of " +
+                std::to_string(clusters.clusterSize) + "-core clusters");
 
     core::DesignSpec base_spec; // 1M
     auto base_design = designer.buildDesign(
@@ -150,4 +162,17 @@ main()
                  "c_mNoC ~0.21,\nPT_mNoC ~0.28 (72% reduction); rNoC is "
                  "dominated by ring heating.\n";
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    try {
+        return run();
+    } catch (const FatalError &error) {
+        std::cerr << error.what() << "\n";
+        return 1;
+    }
 }

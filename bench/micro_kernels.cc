@@ -2,8 +2,9 @@
  * @file
  * google-benchmark microbenchmarks of the library's inner kernels:
  * splitter-chain design, alpha optimization, QAP delta evaluation,
- * channel booking, cache lookups, and the disabled-path cost of the
- * metrics/span instrumentation (must stay a branch, not a syscall).
+ * taboo iterations, channel booking, cache lookups, and the
+ * disabled-path cost of the metrics/span instrumentation (must stay a
+ * branch, not a syscall).
  */
 
 #include <benchmark/benchmark.h>
@@ -18,6 +19,7 @@
 #include "optics/alpha_optimizer.hh"
 #include "optics/crossbar.hh"
 #include "qap/qap.hh"
+#include "qap/taboo.hh"
 #include "runtime/degradation_controller.hh"
 #include "runtime/fault_timeline.hh"
 #include "sim/cache.hh"
@@ -63,10 +65,10 @@ BM_AlphaOptimize(benchmark::State &state)
 }
 BENCHMARK(BM_AlphaOptimize)->Arg(2)->Arg(4);
 
-void
-BM_QapSwapDelta(benchmark::State &state)
+/** A fixed random symmetric QAP instance of size @p n. */
+qap::QapInstance
+randomQap(int n)
 {
-    int n = static_cast<int>(state.range(0));
     Prng rng(1);
     FlowMatrix flow(n, n, 0.0);
     FlowMatrix dist(n, n, 0.0);
@@ -75,7 +77,14 @@ BM_QapSwapDelta(benchmark::State &state)
             flow(i, j) = flow(j, i) = rng.uniform();
             dist(i, j) = dist(j, i) = rng.uniform();
         }
-    qap::QapInstance inst(flow, dist);
+    return {flow, dist};
+}
+
+void
+BM_QapSwapDelta(benchmark::State &state)
+{
+    int n = static_cast<int>(state.range(0));
+    qap::QapInstance inst = randomQap(n);
     auto perm = inst.identity();
     int u = 0;
     for (auto _ : state) {
@@ -87,6 +96,24 @@ BM_QapSwapDelta(benchmark::State &state)
     }
 }
 BENCHMARK(BM_QapSwapDelta)->Arg(64)->Arg(256);
+
+/** One taboo search of 100 iterations: the delta-table build once,
+ *  then per iteration the neighborhood scan and the table update.
+ *  items_per_second counts taboo iterations. */
+void
+BM_TabooIteration(benchmark::State &state)
+{
+    int n = static_cast<int>(state.range(0));
+    qap::QapInstance inst = randomQap(n);
+    qap::TabooParams params;
+    params.iterations = 100;
+    for (auto _ : state) {
+        auto result = qap::tabooSearch(inst, inst.identity(), params);
+        benchmark::DoNotOptimize(result.cost);
+    }
+    state.SetItemsProcessed(state.iterations() * params.iterations);
+}
+BENCHMARK(BM_TabooIteration)->Arg(64)->Arg(256);
 
 void
 BM_ChannelBook(benchmark::State &state)

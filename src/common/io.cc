@@ -34,13 +34,15 @@ FileWriter::close()
 {
     if (closed_)
         return;
+    // Marked closed before the checks: a failure is thrown once here,
+    // not warned again by the destructor while the throw unwinds.
+    closed_ = true;
     out_.flush();
     fatalIf(!out_.good(),
             "failed writing file (disk full or I/O error): " + path_);
     out_.close();
     fatalIf(out_.fail(),
             "failed closing file (disk full or I/O error): " + path_);
-    closed_ = true;
 }
 
 } // namespace mnoc

@@ -6,10 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/log.hh"
+#include "common/manifest.hh"
 #include "common/prng.hh"
+#include "core/thread_mapper.hh"
+#include "optics/crossbar.hh"
 #include "qap/annealing.hh"
 #include "qap/exhaustive.hh"
 #include "qap/qap.hh"
@@ -244,5 +250,106 @@ TEST_P(SolverComparison, BothSolversNearExhaustive)
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SolverComparison, testing::Range(1, 7));
+
+/** FNV-1a of a permutation rendered as comma-separated entries. */
+std::string
+permHash(const Permutation &perm)
+{
+    std::string text;
+    for (int p : perm)
+        text += std::to_string(p) + ",";
+    return hexDigest(fnv1a64(text));
+}
+
+/** The bit pattern of @p value, as 16 hex digits. */
+std::string
+costBits(double value)
+{
+    return hexDigest(std::bit_cast<std::uint64_t>(value));
+}
+
+/** A symmetric instance whose mirrored entries differ in their last
+ *  bits: isSymmetric() accepts it, but no matrix equals its transpose. */
+FlowMatrix
+nearlySymmetric(int n, Prng &rng)
+{
+    FlowMatrix m(n, n, 0.0);
+    for (int i = 0; i < n; ++i)
+        for (int j = i + 1; j < n; ++j) {
+            m(i, j) = rng.uniform() * 10.0;
+            m(j, i) = m(i, j) * (1.0 + 1e-12);
+        }
+    return m;
+}
+
+// The taboo trajectory is part of the reproducibility contract: the
+// mapping (and every design built on it) must not move when the delta
+// kernel is reorganized.  Each golden pins the final permutation and
+// the exact bits of its cost.
+TEST(Taboo, TrajectoryIsPinned)
+{
+    {
+        // The paper's design point: a 256-core mapThreads instance.
+        int n = 256;
+        optics::SerpentineLayout layout(n, optics::defaultWaveguideLength);
+        optics::OpticalCrossbar xbar(layout, optics::DeviceParams{});
+        Prng rng(41);
+        FlowMatrix flow(n, n, 0.0);
+        for (int i = 0; i < n; ++i)
+            for (int j = 0; j < n; ++j)
+                if (i != j)
+                    flow(i, j) = rng.uniform() *
+                                 (std::abs(i - j) < 8 ? 100.0 : 1.0);
+        // Exactly symmetric, so the search reads rows as columns.
+        auto dist = core::powerDistanceMatrix(xbar);
+        int mirrored = 0;
+        for (int i = 0; i < n; ++i)
+            for (int j = 0; j < n; ++j)
+                mirrored += costBits(dist(i, j)) == costBits(dist(j, i));
+        EXPECT_EQ(mirrored, n * n);
+        core::MappingParams params;
+        params.tabooIterations = 300;
+        params.restarts = 2;
+        params.seed = 7;
+        auto result = core::mapThreads(xbar, flow,
+                                       core::MappingMethod::Taboo,
+                                       params);
+        EXPECT_EQ(permHash(result.threadToCore), "3668601f14c6b927");
+        EXPECT_EQ(costBits(result.qapCost), "405765295dc4662a");
+    }
+    {
+        // Small and long: past 5 n^2 iterations the long-term
+        // diversification forces idle pairs.
+        // One statement per draw: argument evaluation order is
+        // unspecified, and the goldens depend on which matrix comes
+        // first.
+        Prng rng(43);
+        FlowMatrix dist = randomSymmetric(12, rng);
+        FlowMatrix flow = randomSymmetric(12, rng);
+        QapInstance inst(flow, dist);
+        TabooParams params;
+        params.iterations = 3000;
+        params.seed = 3;
+        auto result = tabooSearch(inst, inst.identity(), params);
+        EXPECT_EQ(permHash(result.perm), "69176b8f0155dd0d");
+        EXPECT_EQ(costBits(result.cost), "40a4c565048cb09a");
+    }
+    {
+        // Symmetric only within tolerance: the column reads differ
+        // from the row reads in their last bits.
+        Prng rng(47);
+        FlowMatrix dist = nearlySymmetric(20, rng);
+        FlowMatrix flow = nearlySymmetric(20, rng);
+        QapInstance inst(flow, dist);
+        ASSERT_TRUE(inst.isSymmetric());
+        ASSERT_NE(inst.flow()(0, 1), inst.flow()(1, 0));
+        TabooParams params;
+        params.iterations = 1500;
+        params.seed = 5;
+        auto result = tabooSearch(inst, inst.identity(), params);
+        EXPECT_EQ(permHash(result.perm), "73c55a01b1521f97");
+        EXPECT_EQ(costBits(result.cost), "40c0ffd5fa82212d");
+    }
+}
 
 } // namespace

@@ -979,6 +979,16 @@ cmdReport(const Args &args)
     const core::EnergyLedger &ledger = run.ledger;
     int cores = run.cores;
 
+    // MNOC_ADAPT=1 replays the epochs a second time exactly as the
+    // `adapt` verb does with default options and adds a static-vs-
+    // adaptive comparison section.  Off by default: the static
+    // report stays byte-identical.  It runs before the fault replay,
+    // which charges the static ledger, so the comparison is against
+    // the same unfaulted ledger `adapt` reconciles with.
+    std::optional<AdaptiveReplay> adapted;
+    if (adaptEnabled())
+        adapted.emplace(replayAdaptive(run, adaptivePolicy(run.design)));
+
     // MNOC_FAULTS=1 replays the epochs under the `faults` verb's
     // default timeline (seeded by MNOC_FAULT_SEED; unscaled rates,
     // nominal die, no margin requirement) before the averages are
@@ -989,14 +999,6 @@ cmdReport(const Args &args)
     if (faultsEnabled())
         faulted.emplace(replayFaults(run, faultSeed(), 1.0, 0.0, 1, 0.0));
     auto power = ledger.averagePower();
-
-    // MNOC_ADAPT=1 replays the epochs a second time exactly as the
-    // `adapt` verb does with default options and adds a static-vs-
-    // adaptive comparison section.  Off by default: the static
-    // report stays byte-identical.
-    std::optional<AdaptiveReplay> adapted;
-    if (adaptEnabled())
-        adapted.emplace(replayAdaptive(run, adaptivePolicy(run.design)));
 
     ArtifactDir artifacts(args);
     const std::string &prefix = artifacts.prefix;
