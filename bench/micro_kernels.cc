@@ -217,18 +217,25 @@ BM_FaultTimelineStateAt(benchmark::State &state)
 BENCHMARK(BM_FaultTimelineStateAt);
 
 /** Full controller run over a faulted window: per-source link-budget
- *  re-evaluation plus the rule table, serial pool. */
+ *  evaluation plus the rule table, serial pool.  Args: nodes, modes,
+ *  epochs, fault-rate scale in percent.  The 256-node case has the
+ *  shape of pipebench's runtime_replay_256 replay (69 epochs at half
+ *  the default rates on a nominal die), so its time per run over 69
+ *  is the controller's steady-state cost per epoch. */
 void
 BM_DegradationController(benchmark::State &state)
 {
     int n = static_cast<int>(state.range(0));
+    int modes = static_cast<int>(state.range(1));
+    auto epochs = static_cast<std::size_t>(state.range(2));
+    double rate_scale = static_cast<double>(state.range(3)) / 100.0;
     optics::SerpentineLayout layout{n, Meters(0.18)};
     optics::OpticalCrossbar crossbar(layout,
                                      optics::DeviceParams{});
     core::Designer designer(crossbar);
     core::DesignSpec spec;
-    spec.numModes = 2;
-    spec.assignment = core::Assignment::Clustered;
+    spec.numModes = modes;
+    spec.assignment = core::Assignment::DistanceBased;
     spec.weights = core::WeightSource::Uniform;
     FlowMatrix flow(n, n, 1.0);
     auto topology = designer.buildTopology(spec, flow);
@@ -238,8 +245,9 @@ BM_DegradationController(benchmark::State &state)
     auto variation = faults::drawVariation(
         faults::VariationSpec{}.scaled(0.0), crossbar.params(), n,
         prng);
-    runtime::FaultTimeline timeline(runtime::FaultTimelineSpec{}, n,
-                                    spec.numModes, 8, 7);
+    runtime::FaultTimeline timeline(
+        runtime::FaultTimelineSpec{}.scaled(rate_scale), n,
+        spec.numModes, epochs, 7);
     runtime::DegradationPolicy policy;
     ThreadPool pool(1);
     for (auto _ : state) {
@@ -249,7 +257,11 @@ BM_DegradationController(benchmark::State &state)
         benchmark::DoNotOptimize(log.finalNumModes);
     }
 }
-BENCHMARK(BM_DegradationController)->Arg(64);
+BENCHMARK(BM_DegradationController)
+    ->ArgNames({"n", "modes", "epochs", "rate_pct"})
+    ->Args({64, 2, 8, 100})
+    ->Args({256, 4, 69, 50})
+    ->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -1,6 +1,7 @@
 #include "runtime/degradation_controller.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <string>
 
@@ -30,6 +31,25 @@ struct SourceHealth
      *  when every reachable link clears the requirement. */
     int worstFailingMode = -1;
 };
+
+/** The per-source inputs a health slot was computed from, as bit
+ *  patterns: bit-equal inputs give bit-equal health, and -0.0 or a
+ *  NaN cannot compare equal to a different input. */
+struct SourceInputs
+{
+    std::uint64_t thermalSkew = 0;
+    std::uint64_t ledScale = 0;
+    std::uint64_t trim = 0;
+    std::uint32_t deadModes = 0;
+
+    bool operator==(const SourceInputs &) const = default;
+};
+
+std::uint64_t
+bitsOf(double value)
+{
+    return std::bit_cast<std::uint64_t>(value);
+}
 
 /** Smallest usable original drive mode >= @p orig_mode for a source
  *  whose dead-mode bitmask is @p dead; the broadcast mode is never
@@ -147,6 +167,28 @@ runDegradationController(const optics::SerpentineLayout &layout,
         StreakGate(policy.healthyEpochsToRelax));
 
     std::vector<SourceHealth> health(static_cast<std::size_t>(n));
+    // What each health slot was computed from: the source's own
+    // inputs per slot, and the die-wide inputs (receiver skew, then
+    // every node's aging scale) shared by all slots.  topo and
+    // mode_origin change only by a collapse, which marks every
+    // source stale.
+    std::vector<SourceInputs> evaluated(static_cast<std::size_t>(n));
+    std::vector<std::uint64_t> evaluated_die;
+    auto source_inputs = [&](std::size_t slot) {
+        return SourceInputs{bitsOf(state.thermalSkew[slot].dB()),
+                            bitsOf(state.ledScale[slot]),
+                            bitsOf(trims[slot].dB()),
+                            state.deadModes[slot]};
+    };
+    auto die_inputs = [&] {
+        std::vector<std::uint64_t> bits;
+        bits.reserve(static_cast<std::size_t>(n) + 1);
+        bits.push_back(bitsOf(state.receiverSkew.dB()));
+        for (double age : state.splitterAgeScale)
+            bits.push_back(bitsOf(age));
+        return bits;
+    };
+    Counter &margin_evals = metrics.counter("runtime.margin_evals");
 
     // Worst-case budget of one source under the epoch's fault state:
     // rebuild its chain with the runtime skews folded into the base
@@ -156,6 +198,7 @@ runDegradationController(const optics::SerpentineLayout &layout,
     // out over disjoint slots.
     auto evaluate_source = [&](int s) {
         auto slot = static_cast<std::size_t>(s);
+        evaluated[slot] = source_inputs(slot);
         double receiver_scale =
             state.receiverSkew.toAttenuation().value();
         auto params = variation.params.perturbed(
@@ -205,18 +248,29 @@ runDegradationController(const optics::SerpentineLayout &layout,
         health[slot] = out;
     };
 
-    auto evaluate_all = [&] {
-        workers.parallelFor(n, [&](long long s) {
-            evaluate_source(static_cast<int>(s));
-        });
-    };
     auto evaluate_subset = [&](const std::vector<int> &dirty) {
+        margin_evals.add(dirty.size());
         workers.parallelFor(
             static_cast<long long>(dirty.size()),
             [&](long long i) {
                 evaluate_source(
                     dirty[static_cast<std::size_t>(i)]);
             });
+    };
+    // Re-evaluate the stale sources: every source when a die-wide
+    // input moved (a collapse clears evaluated_die to force this),
+    // else those whose own inputs did.
+    auto evaluate_stale = [&] {
+        std::vector<std::uint64_t> die = die_inputs();
+        bool die_changed = die != evaluated_die;
+        std::vector<int> stale;
+        for (int s = 0; s < n; ++s) {
+            auto slot = static_cast<std::size_t>(s);
+            if (die_changed || evaluated[slot] != source_inputs(slot))
+                stale.push_back(s);
+        }
+        evaluated_die = std::move(die);
+        evaluate_subset(stale);
     };
 
     // Reductions in source order: identical at any thread count.
@@ -335,7 +389,7 @@ runDegradationController(const optics::SerpentineLayout &layout,
             prev_dead[slot] = state.deadModes[slot];
         }
 
-        evaluate_all();
+        evaluate_stale();
         DecibelLoss before = worst_margin();
 
         // Hysteresis: relax one trim step on a source only after a
@@ -398,7 +452,8 @@ runDegradationController(const optics::SerpentineLayout &layout,
                     record(ActionKind::Collapse, -1, mode,
                            DecibelLoss(0.0),
                            policy.collapseEnergy);
-                    evaluate_all();
+                    evaluated_die.clear();
+                    evaluate_stale();
                 } else {
                     int s = worst_source();
                     fatal(

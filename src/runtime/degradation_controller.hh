@@ -2,11 +2,11 @@
  * @file
  * Epoch-boundary graceful-degradation controller.
  *
- * At every ledger epoch boundary the controller recomputes each
- * source's worst-case link margin through the link-budget model
- * (optics/link_budget.hh) under the epoch's composed fault state,
- * then applies a rule table until the run-time margin requirement
- * holds again:
+ * At every ledger epoch boundary the controller brings each source's
+ * worst-case link margin, computed through the link-budget model
+ * (optics/link_budget.hh), up to date with the epoch's composed fault
+ * state, then applies a rule table until the run-time margin
+ * requirement holds again:
  *
  *   1. fail over dead drive modes to their parent (the next-higher
  *      mode: mode sets are nested, so the parent's power superset
@@ -23,6 +23,14 @@
  * reconfiguration-cost model into the energy ledger, so degraded
  * runs still account for every joule (the ledger's conservation
  * self-checks extend over the reconfiguration cells).
+ *
+ * Incremental evaluation: a source's margin is a pure function of
+ * its own inputs (thermal skew, LED derating, dead-mode mask, trim)
+ * and of the die-wide ones (receiver skew, every node's splitter
+ * aging scale, the current mode set).  An epoch re-evaluates only
+ * the sources whose inputs differ bit for bit from those their
+ * margin was computed from -- all of them when a die-wide input
+ * moved -- and a collapse re-evaluates every source at once.
  *
  * Determinism: per-source margin evaluation fans out over the shared
  * ThreadPool into disjoint slots and reduces in source order; rule

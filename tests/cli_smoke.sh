@@ -177,10 +177,10 @@ grep -q "MNOC_THREADS" "$DIR/err_threads.txt"
 # `mnocpt explain` renders it into a per-epoch decision timeline.
 MNOC_JOURNAL="$DIR/j1.mjrn" MNOC_THREADS=1 "$MNOCPT" adapt \
     --design "$DIR/t.design" --trace "$DIR/e.trace" \
-    --map "$DIR/t.map" | grep -q "net savings"
+    --map "$DIR/t.map" --dir "$DIR/j1" | grep -q "net savings"
 MNOC_JOURNAL="$DIR/j4.mjrn" MNOC_THREADS=4 "$MNOCPT" adapt \
     --design "$DIR/t.design" --trace "$DIR/e.trace" \
-    --map "$DIR/t.map" > /dev/null
+    --map "$DIR/t.map" --dir "$DIR/j4" > /dev/null
 cmp -s "$DIR/j1.mjrn" "$DIR/j4.mjrn"
 "$MNOCPT" explain --journal "$DIR/j1.mjrn" --dir "$DIR/explain" \
     --jsonl "$DIR/explain/journal.jsonl" \

@@ -9,11 +9,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/log.hh"
+#include "common/manifest.hh"
+#include "common/metrics.hh"
 #include "core/designer.hh"
 #include "core/energy_ledger.hh"
 #include "faults/variation.hh"
@@ -72,6 +76,38 @@ quietSpec()
     spec.receiverDriftRate = 0.0;
     spec.deadModeRate = 0.0;
     return spec;
+}
+
+/** One hand-built fault event. */
+FaultEvent
+makeEvent(FaultKind kind, std::size_t start, std::size_t end, int node,
+          double magnitude, int mode = -1)
+{
+    FaultEvent event;
+    event.kind = kind;
+    event.startEpoch = start;
+    event.endEpoch = end;
+    event.node = node;
+    event.mode = mode;
+    event.magnitude = magnitude;
+    return event;
+}
+
+/** Run @p body with metrics on; returns the runtime.margin_evals
+ *  count it left (source link budgets evaluated). */
+template <typename Body>
+std::uint64_t
+marginEvals(Body body)
+{
+    auto &metrics = MetricsRegistry::global();
+    MetricsRegistry::setEnabled(true);
+    metrics.reset();
+    body();
+    std::uint64_t evals =
+        metrics.counter("runtime.margin_evals").value();
+    metrics.reset();
+    MetricsRegistry::setEnabled(false);
+    return evals;
 }
 
 TEST(FaultTimeline, GenerationIsSeededAndCanonical)
@@ -199,9 +235,15 @@ TEST(Controller, QuietTimelineFiresNoRules)
                            1);
     DegradationPolicy policy;
     ThreadPool pool(1);
-    auto log = runDegradationController(fx.layout, design, variation,
-                                        timeline, policy, nullptr,
-                                        &pool);
+    DegradationLog log;
+    std::uint64_t evals = marginEvals([&] {
+        log = runDegradationController(fx.layout, design, variation,
+                                       timeline, policy, nullptr,
+                                       &pool);
+    });
+    // Nothing changes after the first epoch, so each source's link
+    // budget is evaluated once over the whole run.
+    EXPECT_EQ(evals, static_cast<std::uint64_t>(RuntimeFixture::kNodes));
     ASSERT_EQ(log.epochs.size(), 6u);
     EXPECT_TRUE(log.actions.empty());
     EXPECT_EQ(log.finalNumModes, 2);
@@ -212,6 +254,50 @@ TEST(Controller, QuietTimelineFiresNoRules)
         // The designed-in margin survives the identity replay.
         EXPECT_NEAR(epoch.marginBefore.dB(), 0.5, 1e-6);
         EXPECT_EQ(epoch.marginBefore.dB(), epoch.marginAfter.dB());
+    }
+}
+
+TEST(Controller, ThermalRampReevaluatesOnlyItsSource)
+{
+    RuntimeFixture fx;
+    auto design = fx.twoModeDesign(DecibelLoss(0.5));
+    auto variation = fx.identityVariation();
+    // A shallow ramp on source 5: its skew reads 0, 0.1, 0.2, 0.1,
+    // 0 dB over epochs 2-6, too little to fire any rule.
+    constexpr std::size_t kEpochs = 10;
+    FaultTimeline timeline(
+        {makeEvent(FaultKind::ThermalDrift, 2, 7, 5, 0.2)},
+        RuntimeFixture::kNodes, 2, kEpochs);
+
+    // Epochs whose skew differs from the epoch before: 3, 4, 5, 6
+    // (epoch 2 opens the ramp at 0 dB, and epoch 7 stays at 0 dB).
+    std::vector<std::size_t> moved;
+    for (std::size_t e = 1; e < kEpochs; ++e)
+        if (timeline.stateAt(e).thermalSkew[5].dB() !=
+            timeline.stateAt(e - 1).thermalSkew[5].dB())
+            moved.push_back(e);
+    ASSERT_EQ(moved, (std::vector<std::size_t>{3, 4, 5, 6}));
+
+    DegradationPolicy policy;
+    ThreadPool pool(2);
+    DegradationLog log;
+    std::uint64_t evals = marginEvals([&] {
+        log = runDegradationController(fx.layout, design, variation,
+                                       timeline, policy, nullptr,
+                                       &pool);
+    });
+    EXPECT_TRUE(log.actions.empty());
+    // Every source once at epoch 0, then one evaluation -- source 5
+    // -- at each epoch where the ramp moved.
+    EXPECT_EQ(evals, static_cast<std::uint64_t>(RuntimeFixture::kNodes +
+                                                moved.size()));
+    // The ramp shows in the margin exactly while it is nonzero.
+    for (const auto &epoch : log.epochs) {
+        bool skewed = epoch.epoch >= 3 && epoch.epoch <= 5;
+        if (skewed)
+            EXPECT_LT(epoch.marginBefore.dB(), 0.5 - 1e-6);
+        else
+            EXPECT_NEAR(epoch.marginBefore.dB(), 0.5, 1e-6);
     }
 }
 
@@ -553,6 +639,106 @@ TEST(Controller, ChargesReconfigurationEnergyIntoLedger)
                                           variation, timeline, policy,
                                           &off_by_one, &pool),
                  FatalError);
+}
+
+/** The bit pattern of @p value, as 16 hex digits. */
+std::string
+bitsOf(double value)
+{
+    return hexDigest(std::bit_cast<std::uint64_t>(value));
+}
+
+/** FNV-1a digest over every field of @p log, doubles by bit pattern. */
+std::string
+logDigest(const DegradationLog &log)
+{
+    std::string text;
+    for (const auto &epoch : log.epochs)
+        text += "e" + std::to_string(epoch.epoch) + "," +
+                bitsOf(epoch.marginBefore.dB()) + "," +
+                bitsOf(epoch.marginAfter.dB()) + "," +
+                std::to_string(epoch.activeFaults) + "," +
+                std::to_string(epoch.actions) + "," +
+                std::to_string(epoch.numModes) + "," +
+                bitsOf(epoch.reconfigEnergy) + ";";
+    for (const auto &action : log.actions)
+        text += std::string("a") + actionKindName(action.kind) + "," +
+                std::to_string(action.epoch) + "," +
+                std::to_string(action.source) + "," +
+                std::to_string(action.mode) + "," +
+                bitsOf(action.trimAfter.dB()) + "," +
+                bitsOf(action.energyCost) + ";";
+    text += "f" + std::to_string(log.finalNumModes) + "," +
+            bitsOf(log.totalReconfigEnergy);
+    return hexDigest(fnv1a64(text));
+}
+
+// The controller's trajectory is part of the reproducibility
+// contract: the fault log, the reliability series and the ledger's
+// reconfiguration cells must not move when the margin evaluation is
+// reorganized.  Each golden pins every field of the log.
+TEST(Controller, TrajectoryIsPinned)
+{
+    RuntimeFixture fx;
+    auto variation = fx.identityVariation();
+    ThreadPool pool(2);
+    {
+        // Seeded: every fault kind fires.
+        auto design = fx.twoModeDesign(DecibelLoss(0.5));
+        FaultTimeline timeline(FaultTimelineSpec{}.scaled(2.0),
+                               RuntimeFixture::kNodes, 2, 40, 11);
+        for (FaultKind kind :
+             {FaultKind::ThermalDrift, FaultKind::LaserDroop,
+              FaultKind::SplitterAging, FaultKind::ReceiverDrift,
+              FaultKind::DeadMode}) {
+            int count = 0;
+            for (const auto &event : timeline.events())
+                count += event.kind == kind;
+            EXPECT_GT(count, 0) << faultKindName(kind);
+        }
+        DegradationPolicy policy;
+        auto log = runDegradationController(fx.layout, design,
+                                            variation, timeline,
+                                            policy, nullptr, &pool);
+        EXPECT_GT(log.countActions(ActionKind::Trim), 0);
+        EXPECT_GT(log.countActions(ActionKind::Failover), 0);
+        EXPECT_EQ(logDigest(log), "9f8d5487a321afb4");
+    }
+    {
+        // Hand-built: a thermal ramp trims source 3 and later
+        // relaxes it, source 7 droops to the die's worst margin and
+        // then fails over (lifting that margin) and restores, an
+        // aging event changes every waveguide's chain, and a
+        // receiver drift beyond the trim ceiling collapses the
+        // short-reach mode.
+        auto design = fx.twoModeDesign(DecibelLoss(2.0));
+        for (auto &source : design.sources)
+            source.modePower[1] = source.modePower[1] *
+                                  DecibelLoss(3.0).toAttenuation();
+        std::vector<FaultEvent> events = {
+            makeEvent(FaultKind::ThermalDrift, 1, 6, 3, 1.0),
+            makeEvent(FaultKind::LaserDroop, 6, 30, 7, 0.1),
+            makeEvent(FaultKind::DeadMode, 8, 11, 7, 0.0, 0),
+            makeEvent(FaultKind::SplitterAging, 13, 30, 5, 0.03),
+            makeEvent(FaultKind::LaserDroop, 15, 30, 9, 0.1),
+            makeEvent(FaultKind::ReceiverDrift, 20, 30, -1, 3.0),
+        };
+        FaultTimeline timeline(events, RuntimeFixture::kNodes, 2, 30);
+        DegradationPolicy policy;
+        policy.requiredMargin = DecibelLoss(1.0);
+        policy.restoreHysteresis = DecibelLoss(0.9);
+        policy.maxTrim = DecibelLoss(1.5);
+        auto log = runDegradationController(fx.layout, design,
+                                            variation, timeline,
+                                            policy, nullptr, &pool);
+        EXPECT_GT(log.countActions(ActionKind::Trim), 0);
+        EXPECT_GT(log.countActions(ActionKind::Relax), 0);
+        EXPECT_EQ(log.countActions(ActionKind::Failover), 1);
+        EXPECT_EQ(log.countActions(ActionKind::Restore), 1);
+        EXPECT_EQ(log.countActions(ActionKind::Collapse), 1);
+        EXPECT_EQ(log.finalNumModes, 1);
+        EXPECT_EQ(logDigest(log), "db98d6b318e5bd48");
+    }
 }
 
 TEST(Controller, PolicyValidationRejectsNonsense)
