@@ -8,9 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <string>
 
 #include "common/log.hh"
+#include "common/manifest.hh"
+#include "common/thread_pool.hh"
 #include "core/design_io.hh"
 #include "core/designer.hh"
 #include "faults/yield.hh"
@@ -44,8 +48,15 @@ struct FaultsFixture
     MnocDesign
     twoModeDesign(DecibelLoss margin) const
     {
+        return design(2, margin);
+    }
+
+    /** A distance-based design with @p modes modes at @p margin. */
+    MnocDesign
+    design(int modes, DecibelLoss margin) const
+    {
         DesignSpec spec;
-        spec.numModes = 2;
+        spec.numModes = modes;
         spec.assignment = Assignment::DistanceBased;
         spec.weights = WeightSource::DesignFlow;
         FlowMatrix flow = neighbourFlow();
@@ -155,6 +166,92 @@ TEST(Yield, UnhardenedDesignHasPoorYield)
     EXPECT_GT(report.marginFailuresByMode[0] +
                   report.marginFailuresByMode[1],
               0);
+}
+
+/** The bit pattern of @p value, as 16 hex digits. */
+std::string
+bitsOf(double value)
+{
+    return hexDigest(std::bit_cast<std::uint64_t>(value));
+}
+
+/** FNV-1a digest over every field of @p report and of each of its
+ *  draws, doubles by bit pattern. */
+std::string
+reportDigest(const faults::YieldReport &report)
+{
+    const faults::VariationSpec &spec = report.spec;
+    std::string text =
+        std::to_string(report.trials) + "," +
+        std::to_string(report.seed) + "," +
+        bitsOf(spec.splitterSigma) + "," +
+        bitsOf(spec.couplerSigma.dB()) + "," +
+        bitsOf(spec.waveguideSigmaPerCm.dB()) + "," +
+        bitsOf(spec.splitterInsertionSigma.dB()) + "," +
+        bitsOf(spec.ledDroopSigma) + "," + bitsOf(spec.miopSigma.dB()) +
+        "," + bitsOf(report.yield) + "," +
+        bitsOf(report.marginMean.dB()) + "," +
+        bitsOf(report.marginMin.dB()) + "," +
+        bitsOf(report.marginP5.dB()) + "," +
+        bitsOf(report.berWorstMean) + "," + bitsOf(report.berWorstMax);
+    for (long long count : report.marginFailuresByMode)
+        text += ",m" + std::to_string(count);
+    for (long long count : report.leakFailuresByMode)
+        text += ",l" + std::to_string(count);
+    for (const auto &draw : report.draws)
+        text += std::string(";") + (draw.pass ? "p" : "f") + "," +
+                bitsOf(draw.worstMargin.dB()) + "," +
+                bitsOf(draw.worstLeak.dB()) + "," +
+                bitsOf(draw.worstBitErrorRate) + "," +
+                std::to_string(draw.marginFailures) + "," +
+                std::to_string(draw.leakFailures);
+    return hexDigest(fnv1a64(text));
+}
+
+// The yield report is part of the reproducibility contract: the
+// link-budget accounting behind it may be reorganized, but every
+// field of every draw must keep its bits at every pool size.  The
+// cases cover 1/2/4-mode designs, a required margin above zero,
+// finite leak limits on both sides of pmin, and tighter and looser
+// processes than the default.
+TEST(Yield, ReportIsPinned)
+{
+    struct Case
+    {
+        int modes;
+        double designMargin;
+        double requiredMargin;
+        double maxLeak;
+        double sigmaScale;
+        int trials;
+        std::uint64_t seed;
+        const char *golden;
+    };
+    const double no_leak_limit = optics::unconstrainedLeak.dB();
+    const Case cases[] = {
+        {1, 0.5, 0.0, no_leak_limit, 1.0, 40, 3, "1b03ed198dcaafff"},
+        {2, 0.0, 1.0, -3.0, 1.0, 40, 5, "6c8e6f8c06d3375b"},
+        {2, 2.0, 0.5, 3.0, 1.0, 40, 7, "5a309f7ea57fa051"},
+        {4, 2.0, 3.0, -3.0, 0.0, 10, 9, "65d6f0ddd872d324"},
+        {4, 0.5, 0.0, 0.5, 1.0, 40, 11, "ce781b2576656a35"},
+    };
+    FaultsFixture fx;
+    for (const Case &c : cases) {
+        auto design = fx.design(c.modes, DecibelLoss(c.designMargin));
+        faults::YieldCriteria criteria;
+        criteria.requiredMargin = DecibelLoss(c.requiredMargin);
+        criteria.maxLeak = DecibelLoss(c.maxLeak);
+        auto spec = faults::VariationSpec{}.scaled(c.sigmaScale);
+        for (int threads : {1, 2, 8}) {
+            ThreadPool pool(threads);
+            auto report = faults::analyzeYield(
+                fx.layout, fx.params, design.sources, spec, c.trials,
+                c.seed, criteria, &pool);
+            EXPECT_EQ(reportDigest(report), c.golden)
+                << c.modes << " modes, seed " << c.seed << ", "
+                << threads << " threads";
+        }
+    }
 }
 
 TEST(PowerTopology, CollapseModeMergesUpward)
