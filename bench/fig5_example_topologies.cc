@@ -12,6 +12,7 @@
 
 #include <iostream>
 
+#include "common/knobs.hh"
 #include "common/table.hh"
 #include "core/builders.hh"
 #include "harness.hh"
@@ -49,6 +50,7 @@ printTopology(const core::GlobalPowerTopology &topo,
 int
 main()
 {
+    initKnobs();
     bench::printHeader("Example power topologies (8 nodes)",
                        "Figure 5");
 

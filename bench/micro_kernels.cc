@@ -1,20 +1,23 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the library's inner kernels:
- * splitter-chain design, alpha optimization, QAP delta evaluation,
- * taboo iterations, channel booking, cache lookups, and the
+ * splitter-chain design, alpha optimization, one Monte Carlo yield
+ * draw, QAP delta evaluation, taboo iterations, channel booking,
+ * cache lookups, and the
  * disabled-path cost of the metrics/span instrumentation (must stay a
  * branch, not a syscall).
  */
 
 #include <benchmark/benchmark.h>
 
+#include "common/knobs.hh"
 #include "common/metrics.hh"
 #include "common/prng.hh"
 #include "common/thread_pool.hh"
 #include "common/trace_span.hh"
 #include "core/designer.hh"
 #include "faults/variation.hh"
+#include "faults/yield.hh"
 #include "noc/channel.hh"
 #include "optics/alpha_optimizer.hh"
 #include "optics/crossbar.hh"
@@ -64,6 +67,37 @@ BM_AlphaOptimize(benchmark::State &state)
     }
 }
 BENCHMARK(BM_AlphaOptimize)->Arg(2)->Arg(4);
+
+/** One Monte Carlo yield draw over an n-node, 4-mode distance-based
+ *  design at 1 dB of margin, on a serial pool: the per-die segment
+ *  table, every source's forward walk and link-budget fold, and the
+ *  report's reduction.  items_per_second counts draws. */
+void
+BM_YieldDraw(benchmark::State &state)
+{
+    int n = static_cast<int>(state.range(0));
+    optics::SerpentineLayout layout{n, Meters(0.18)};
+    optics::OpticalCrossbar crossbar(layout, optics::DeviceParams{});
+    core::Designer designer(crossbar);
+    core::DesignSpec spec;
+    spec.numModes = 4;
+    spec.assignment = core::Assignment::DistanceBased;
+    spec.weights = core::WeightSource::Uniform;
+    FlowMatrix flow(n, n, 1.0);
+    auto topology = designer.buildTopology(spec, flow);
+    auto design =
+        designer.buildDesign(spec, topology, flow, DecibelLoss(1.0));
+    ThreadPool pool(1);
+    std::uint64_t seed = 0;
+    for (auto _ : state) {
+        auto report = faults::analyzeYield(
+            layout, crossbar.params(), design.sources,
+            faults::VariationSpec{}, 1, seed++, {}, &pool);
+        benchmark::DoNotOptimize(report.yield);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_YieldDraw)->Arg(64)->Arg(256)->Unit(benchmark::kMicrosecond);
 
 /** A fixed random symmetric QAP instance of size @p n. */
 qap::QapInstance
@@ -265,4 +299,16 @@ BENCHMARK(BM_DegradationController)
 
 } // namespace
 
-BENCHMARK_MAIN();
+// Not BENCHMARK_MAIN(): like every other entry point, validate the
+// MNOC_* knobs first, so a mistyped one stops the run.
+int
+main(int argc, char **argv)
+{
+    initKnobs();
+    benchmark::Initialize(&argc, argv);
+    if (benchmark::ReportUnrecognizedArguments(argc, argv))
+        return 1;
+    benchmark::RunSpecifiedBenchmarks();
+    benchmark::Shutdown();
+    return 0;
+}

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "common/log.hh"
 #include "common/metrics.hh"
@@ -31,6 +32,12 @@ runDraw(const optics::SerpentineLayout &layout,
 {
     int n = static_cast<int>(sources.size());
     WattPower pmin = variation.params.pminAtTap();
+    // Every source of the draw sees the same die: one segment table.
+    optics::SegmentTable table(layout, variation.params);
+    // Per-worker received-power rows, reused across draws: a few KiB.
+    thread_local std::vector<std::vector<double>> received;
+    if (received.size() < static_cast<std::size_t>(num_modes))
+        received.resize(static_cast<std::size_t>(num_modes));
 
     DrawRecord record;
     record.marginFailuresByMode.assign(
@@ -45,40 +52,33 @@ runDraw(const optics::SerpentineLayout &layout,
 
     for (int s = 0; s < n; ++s) {
         const auto &design = sources[s];
-        int source_modes = static_cast<int>(design.modePower.size());
-        optics::SplitterChain chain(layout, variation.params, s);
+        auto source_modes = design.modePower.size();
+        for (std::size_t m = 0; m < source_modes; ++m)
+            table.evaluate(design.chain,
+                           design.modePower[m] *
+                               variation.ledOutputScale[s] *
+                               table.feedTransmission(),
+                           variation.splitterScale[s], received[m]);
 
-        std::vector<std::vector<double>> received;
-        received.reserve(static_cast<std::size_t>(source_modes));
-        for (int m = 0; m < source_modes; ++m)
-            received.push_back(chain.evaluate(
-                design.chain,
-                design.modePower[m] * variation.ledOutputScale[s],
-                variation.splitterScale[s]));
-
-        auto report = optics::validateReceivedPowers(
-            received, design.modeOfDest, s, pmin,
-            criteria.requiredMargin, criteria.maxLeak);
+        auto summary = optics::summarizeReceivedPowers(
+            std::span(received).first(source_modes), design.modeOfDest,
+            s, pmin, criteria.requiredMargin, criteria.maxLeak);
 
         outcome.worstMargin =
-            std::min(outcome.worstMargin, report.worstReachableMargin);
+            std::min(outcome.worstMargin, summary.worstReachableMargin);
         outcome.worstLeak =
-            std::max(outcome.worstLeak, report.worstUnreachableLeak);
-        for (const auto &link : report.links) {
-            if (link.reachable) {
-                outcome.worstBitErrorRate = std::max(
-                    outcome.worstBitErrorRate, link.bitErrorRate);
-                if (link.margin <
-                    criteria.requiredMargin - DecibelLoss(1e-9)) {
-                    ++outcome.marginFailures;
-                    ++record.marginFailuresByMode[link.mode];
-                }
-            } else if (link.margin > criteria.maxLeak) {
-                ++outcome.leakFailures;
-                ++record.leakFailuresByMode[link.mode];
-            }
+            std::max(outcome.worstLeak, summary.worstUnreachableLeak);
+        outcome.worstBitErrorRate =
+            std::max(outcome.worstBitErrorRate,
+                     summary.worstReachableBitErrorRate);
+        for (std::size_t m = 0; m < source_modes; ++m) {
+            const optics::ModeBudget &mode = summary.modes[m];
+            outcome.marginFailures += mode.marginFailures;
+            outcome.leakFailures += mode.leakFailures;
+            record.marginFailuresByMode[m] += mode.marginFailures;
+            record.leakFailuresByMode[m] += mode.leakFailures;
         }
-        outcome.pass = outcome.pass && report.ok;
+        outcome.pass = outcome.pass && summary.ok;
     }
     return record;
 }

@@ -23,6 +23,7 @@
 #define MNOC_OPTICS_LINK_BUDGET_HH
 
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "optics/alpha_optimizer.hh"
@@ -44,15 +45,33 @@ struct LinkBudget
     double bitErrorRate = 1.0;
 };
 
-/** Result of validating one source's design. */
-struct BudgetReport
+/** Budget aggregates of one drive mode of a source. */
+struct ModeBudget
 {
-    std::vector<LinkBudget> links;
+    /** Smallest margin over the mode's reachable links (1e9 dB when
+     *  the mode reaches none). */
+    DecibelLoss worstMargin{1e9};
+    /** Reachable links below the required margin. */
+    int marginFailures = 0;
+    /** Unreachable links above the leak limit. */
+    int leakFailures = 0;
+};
+
+/** Worst-case aggregates of one source's link budget: what a yield
+ *  draw or a runtime health check needs, without the per-link list. */
+struct BudgetSummary
+{
     /** Smallest margin over all reachable links. */
-    DecibelLoss worstReachableMargin;
+    DecibelLoss worstReachableMargin{1e9};
     /** Largest received power of any unreachable link, relative to
      *  pmin (should be comfortably negative). */
     DecibelLoss worstUnreachableLeak{-1e9};
+    /** Largest bit error rate of any reachable link (0 when none). */
+    double worstReachableBitErrorRate = 0.0;
+    /** Per drive mode, in mode order. */
+    std::vector<ModeBudget> modes;
+    /** Every reachable link clears the required margin and every
+     *  unreachable link stays at or below the leak limit. */
     bool ok = false;
 };
 
@@ -60,35 +79,73 @@ struct BudgetReport
 inline constexpr DecibelLoss unconstrainedLeak{
     std::numeric_limits<double>::infinity()};
 
+/** Q factor of the receiver chain at exactly pmin (~1e-12 BER). */
+inline constexpr double receiverQAtPmin = 7.0;
+
 /**
  * Estimate the BER of an on/off-keyed photonic link whose received
  * "one" power is @p received against a receiver designed for @p pmin.
  * Uses Q = q_at_pmin * received / pmin with BER = 0.5 erfc(Q / sqrt 2),
- * where q_at_pmin (default 7, ~1e-12 BER) is the design point of the
- * receiver chain.
+ * where q_at_pmin is the design point of the receiver chain.
  */
 double linkBitErrorRate(WattPower received, WattPower pmin,
-                        double q_at_pmin = 7.0);
+                        double q_at_pmin = receiverQAtPmin);
+
+/** Margin of a link receiving @p received against @p pmin:
+ *  10 log10(received / pmin), or -1e9 dB when no light arrives. */
+DecibelLoss linkMargin(WattPower received, WattPower pmin);
 
 /**
- * Validate precomputed per-mode received powers against @p pmin.
+ * Fold precomputed per-mode received powers into the source's budget
+ * aggregates, with no per-link list.
  *
  * @param received_per_mode received_per_mode[m][d] is the power that
  *        destination d's tap sees when the source drives mode m, in
- *        watts (as returned by SplitterChain::evaluate, possibly under
+ *        watts (as written by SegmentTable::evaluate, possibly under
  *        a device-variation draw).
  * @param mode_of_dest Minimum mode per destination; the entry at
  *        @p source is ignored.
+ * @param required_margin A reachable link fails below this margin
+ *        (less a 1e-9 dB comparison slack).
+ * @param max_leak An unreachable link fails above this level.
  *
- * This is the core of validateDesign(), split out so that the
- * fault-injection subsystem can replay perturbed received powers
- * through exactly the same margin/leak/BER accounting.
+ * Every aggregate is bit-identical to a scan that evaluates
+ * linkMargin() and linkBitErrorRate() on every link; only the links
+ * whose value could decide an aggregate are evaluated.  A link counts
+ * against a threshold by comparing its received power with the
+ * threshold's linear equivalent, widened by a 1e-9 relative guard
+ * band; only links inside the band take the logarithm.  An extreme is
+ * found on the linear powers first, and every link within 1e-9 of it
+ * (relative, and for the BER also absolute in Q) is evaluated
+ * exactly.  The band is six orders of magnitude wider than the
+ * rounding of either function, so no link outside it can win, however
+ * libm rounds.  Links and thresholds outside the range of that
+ * argument -- no light, a power more than 2^500 away from pmin, a
+ * non-finite threshold or one beyond +-1000 dB, and worst BERs in the
+ * subnormal range -- are evaluated link by link (docs/resilience.md
+ * §7.2).
  */
-BudgetReport validateReceivedPowers(
-    const std::vector<std::vector<double>> &received_per_mode,
+BudgetSummary summarizeReceivedPowers(
+    std::span<const std::vector<double>> received_per_mode,
     const std::vector<int> &mode_of_dest, int source, WattPower pmin,
     DecibelLoss required_margin = DecibelLoss(0.0),
     DecibelLoss max_leak = unconstrainedLeak);
+
+/**
+ * Every (mode, destination) link of one source, mode-major, built
+ * from linkMargin() and linkBitErrorRate(): the per-link view of what
+ * summarizeReceivedPowers() folds.
+ */
+std::vector<LinkBudget>
+listLinkBudgets(std::span<const std::vector<double>> received_per_mode,
+                const std::vector<int> &mode_of_dest, int source,
+                WattPower pmin);
+
+/** The received powers of every mode of @p design on @p chain,
+ *  nominal device parameters. */
+std::vector<std::vector<double>>
+designReceivedPowers(const SplitterChain &chain,
+                     const MultiModeDesign &design);
 
 /**
  * Validate a complete multi-mode design for one source.
@@ -106,7 +163,7 @@ BudgetReport validateReceivedPowers(
  *        negative value to demand a real decision gap for the
  *        threshold circuit of Section 3.2.2.
  */
-BudgetReport validateDesign(
+BudgetSummary validateDesign(
     const SplitterChain &chain, const MultiModeDesign &design,
     WattPower pmin, DecibelLoss required_margin = DecibelLoss(0.0),
     DecibelLoss max_leak = unconstrainedLeak);

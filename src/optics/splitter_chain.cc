@@ -8,37 +8,21 @@
 
 namespace mnoc::optics {
 
-SplitterChain::SplitterChain(const SerpentineLayout &layout,
-                             const DeviceParams &params, int source)
-    : layout_(layout), params_(params), source_(source)
+LinearFactor
+sourceFeedTransmission(const DeviceParams &params)
 {
-    params_.validate();
-    int n = layout_.numNodes();
-    fatalIf(source < 0 || source >= n, "source index out of range");
-
     // LED output -> coupler -> source directional splitter.
-    sourceFeedTransmission_ =
-        params_.couplerLoss.toTransmission() *
-        params_.splitterInsertion.toTransmission();
+    return params.couplerLoss.toTransmission() *
+           params.splitterInsertion.toTransmission();
+}
 
-    // Loss convention (see header): pass-through light suffers only
-    // propagation loss; the splitter insertion loss applies to the
-    // diverted branch (weakly coupled taps), and once at the source's
-    // own directional splitter.  Charging the insertion loss to every
-    // pass-through would accumulate >50 dB across a radix-256
-    // serpentine and contradict the paper's scalability analysis.
-    LinearFactor tap_t = params_.splitterInsertion.toTransmission();
-    tapAtten_.assign(n, LinearFactor(0.0));
-    for (int dest = 0; dest < n; ++dest) {
-        if (dest == source_)
-            continue;
-        LinearFactor trans = sourceFeedTransmission_ * tap_t;
-        trans *= params_
-                     .propagationLoss(
-                         layout_.distanceBetween(source_, dest))
-                     .toTransmission();
-        tapAtten_[dest] = trans.inverse();
-    }
+SegmentTable::SegmentTable(const SerpentineLayout &layout,
+                           const DeviceParams &params)
+    : numNodes_(layout.numNodes())
+{
+    params.validate();
+    feed_ = sourceFeedTransmission(params);
+    tapTrans_ = params.splitterInsertion.toTransmission();
 
     // Per-segment propagation transmissions, hoisted out of the
     // design/evaluate/lossBreakdown walks: each dB->linear conversion
@@ -46,11 +30,88 @@ SplitterChain::SplitterChain(const SerpentineLayout &layout,
     // caching turns the inner loops into pure multiply-adds over a
     // contiguous array.  The cached values are the same doubles the
     // on-the-fly conversion produced.
-    segTrans_.reserve(n > 0 ? n - 1 : 0);
-    for (int a = 0; a + 1 < n; ++a)
+    segTrans_.reserve(numNodes_ > 0 ? numNodes_ - 1 : 0);
+    for (int a = 0; a + 1 < numNodes_; ++a)
         segTrans_.push_back(
-            params_.propagationLoss(layout_.distanceBetween(a, a + 1))
+            params.propagationLoss(layout.distanceBetween(a, a + 1))
                 .toTransmission());
+}
+
+void
+SegmentTable::evaluate(const ChainDesign &design, WattPower launched,
+                       const std::vector<double> &splitter_scale,
+                       std::vector<double> &received) const
+{
+    int n = numNodes_;
+    int source = design.source;
+    panicIf(source < 0 || source >= n, "design source out of range");
+    panicIf(static_cast<int>(design.splitterFraction.size()) != n,
+            "design size mismatch");
+    panicIf(!splitter_scale.empty() &&
+                static_cast<int>(splitter_scale.size()) != n,
+            "splitter scale size mismatch");
+
+    auto fraction = [&](int j) {
+        double s = design.splitterFraction[j];
+        if (!splitter_scale.empty()) {
+            // Scale the split *ratio* s/(1-s): s' = s*k/(s*k + 1-s).
+            // Endpoints are fixed (s=0 stays 0, s=1 stays 1), interior
+            // fractions stay interior, and for small s this reduces to
+            // plain s*k.
+            double k = std::max(0.0, splitter_scale[j]);
+            double num = s * k;
+            double den = num + (1.0 - s);
+            s = den > 0.0 ? num / den : 0.0;
+        }
+        return s;
+    };
+
+    const double tap_t = tapTrans_.value();
+    received.assign(static_cast<std::size_t>(n), 0.0);
+    double fed = launched.watts();
+    double left_frac = fraction(source);
+
+    auto walk = [&](double power, int step) {
+        for (int j = source + step; j >= 0 && j < n; j += step) {
+            int seg_lo = std::min(j, j - step);
+            power *= segmentTransmission(seg_lo).value();
+            double s = fraction(j);
+            received[static_cast<std::size_t>(j)] = power * s * tap_t;
+            power *= (1.0 - s);
+            if (power <= 0.0)
+                break;
+        }
+    };
+
+    walk(fed * left_frac, -1);
+    walk(fed * (1.0 - left_frac), +1);
+}
+
+SplitterChain::SplitterChain(const SerpentineLayout &layout,
+                             const DeviceParams &params, int source)
+    : params_(params), source_(source), table_(layout, params_)
+{
+    int n = table_.numNodes();
+    fatalIf(source < 0 || source >= n, "source index out of range");
+
+    // Loss convention (see header): pass-through light suffers only
+    // propagation loss; the splitter insertion loss applies to the
+    // diverted branch (weakly coupled taps), and once at the source's
+    // own directional splitter.  Charging the insertion loss to every
+    // pass-through would accumulate >50 dB across a radix-256
+    // serpentine and contradict the paper's scalability analysis.
+    LinearFactor tap_t = table_.tapTransmission();
+    tapAtten_.assign(n, LinearFactor(0.0));
+    for (int dest = 0; dest < n; ++dest) {
+        if (dest == source_)
+            continue;
+        LinearFactor trans = table_.feedTransmission() * tap_t;
+        trans *= params_
+                     .propagationLoss(
+                         layout.distanceBetween(source_, dest))
+                     .toTransmission();
+        tapAtten_[dest] = trans.inverse();
+    }
 }
 
 LinearFactor
@@ -59,12 +120,6 @@ SplitterChain::tapAttenuation(int dest) const
     panicIf(dest < 0 || dest >= numNodes(), "destination out of range");
     panicIf(dest == source_, "a source has no tap on its own waveguide");
     return tapAtten_[dest];
-}
-
-LinearFactor
-SplitterChain::segmentTransmission(int a) const
-{
-    return segTrans_[static_cast<std::size_t>(a)];
 }
 
 ChainDesign
@@ -83,8 +138,7 @@ SplitterChain::design(const std::vector<double> &tap_targets) const
     out.targets = tap_targets;
     out.splitterFraction.assign(n, 0.0);
 
-    const double tap_t =
-        params_.splitterInsertion.toTransmission().value();
+    const double tap_t = table_.tapTransmission().value();
 
     // Per-arm backward recurrence.  W_j (power arriving at node j's
     // splitter input) must cover the tap's diversion -- the target
@@ -110,7 +164,7 @@ SplitterChain::design(const std::vector<double> &tap_targets) const
             if (next_need > 0.0) {
                 int seg_lo = std::min(j, j + step);
                 arriving +=
-                    next_need / segmentTransmission(seg_lo).value();
+                    next_need / table_.segmentTransmission(seg_lo).value();
             }
             if (arriving > 0.0)
                 out.splitterFraction[j] = diverted / arriving;
@@ -118,7 +172,7 @@ SplitterChain::design(const std::vector<double> &tap_targets) const
         }
         // Undo the segment between the source and the first arm node.
         int seg_lo = std::min(source_, source_ + step);
-        return next_need / segmentTransmission(seg_lo).value();
+        return next_need / table_.segmentTransmission(seg_lo).value();
     };
 
     double left_need = source_ > 0 ? solve_arm(-1) : 0.0;
@@ -126,7 +180,7 @@ SplitterChain::design(const std::vector<double> &tap_targets) const
 
     double total_arm_power = left_need + right_need;
     out.injectedPower =
-        WattPower(total_arm_power) / sourceFeedTransmission_;
+        WattPower(total_arm_power) / table_.feedTransmission();
     out.splitterFraction[source_] =
         total_arm_power > 0.0 ? left_need / total_arm_power : 0.0;
     return out;
@@ -144,49 +198,10 @@ SplitterChain::evaluate(const ChainDesign &design,
                         WattPower injected_power,
                         const std::vector<double> &splitter_scale) const
 {
-    int n = numNodes();
     panicIf(design.source != source_, "design is for a different source");
-    panicIf(static_cast<int>(design.splitterFraction.size()) != n,
-            "design size mismatch");
-    panicIf(!splitter_scale.empty() &&
-                static_cast<int>(splitter_scale.size()) != n,
-            "splitter scale size mismatch");
-
-    auto fraction = [&](int j) {
-        double s = design.splitterFraction[j];
-        if (!splitter_scale.empty()) {
-            // Scale the split *ratio* s/(1-s): s' = s*k/(s*k + 1-s).
-            // Endpoints are fixed (s=0 stays 0, s=1 stays 1), interior
-            // fractions stay interior, and for small s this reduces to
-            // plain s*k.
-            double k = std::max(0.0, splitter_scale[j]);
-            double num = s * k;
-            double den = num + (1.0 - s);
-            s = den > 0.0 ? num / den : 0.0;
-        }
-        return s;
-    };
-
-    const double tap_t =
-        params_.splitterInsertion.toTransmission().value();
-    std::vector<double> received(n, 0.0);
-    double fed = (injected_power * sourceFeedTransmission_).watts();
-    double left_frac = fraction(source_);
-
-    auto walk = [&](double power, int step) {
-        for (int j = source_ + step; j >= 0 && j < n; j += step) {
-            int seg_lo = std::min(j, j - step);
-            power *= segmentTransmission(seg_lo).value();
-            double s = fraction(j);
-            received[j] = power * s * tap_t;
-            power *= (1.0 - s);
-            if (power <= 0.0)
-                break;
-        }
-    };
-
-    walk(fed * left_frac, -1);
-    walk(fed * (1.0 - left_frac), +1);
+    std::vector<double> received;
+    table_.evaluate(design, injected_power * table_.feedTransmission(),
+                    splitter_scale, received);
     return received;
 }
 
@@ -220,7 +235,7 @@ SplitterChain::lossBreakdown(const ChainDesign &design,
     auto walk = [&](double power, int step) {
         for (int j = source_ + step; j >= 0 && j < n; j += step) {
             int seg_lo = std::min(j, j - step);
-            double seg_t = segmentTransmission(seg_lo).value();
+            double seg_t = table_.segmentTransmission(seg_lo).value();
             out.waveguide += power * (1.0 - seg_t);
             power *= seg_t;
             double s = design.splitterFraction[j];

@@ -89,11 +89,77 @@ struct ChainLossBreakdown
     }
 };
 
+/** Transmission from a source's QD LED output to its two waveguide
+ *  arms: the LED-side coupler, then the source's directional
+ *  splitter insertion. */
+LinearFactor sourceFeedTransmission(const DeviceParams &params);
+
 /**
- * Power-propagation model for a single source's serpentine waveguide.
+ * The per-die half of the waveguide power model: the propagation
+ * transmission of every segment between adjacent nodes, the feed from
+ * the LED to the arms, and the tap transmission.  None of these
+ * depends on the source, so one table serves every waveguide of a die;
+ * SplitterChain adds the per-source geometric attenuations on top.
+ * evaluate() is the forward walk every received-power figure comes
+ * from.
+ */
+class SegmentTable
+{
+  public:
+    /**
+     * @param layout Serpentine geometry shared by all waveguides.
+     * @param params Optical device parameters of the die.
+     */
+    SegmentTable(const SerpentineLayout &layout,
+                 const DeviceParams &params);
+
+    int numNodes() const { return numNodes_; }
+
+    /** Propagation transmission of the segment between adjacent nodes
+     *  @p a and @p a+1 (no splitter insertion). */
+    LinearFactor
+    segmentTransmission(int a) const
+    {
+        return segTrans_[static_cast<std::size_t>(a)];
+    }
+
+    /** sourceFeedTransmission() of the die's parameters. */
+    LinearFactor feedTransmission() const { return feed_; }
+
+    /** Transmission of a destination tap's diverted branch. */
+    LinearFactor tapTransmission() const { return tapTrans_; }
+
+    /**
+     * Propagate @p launched watts -- the power leaving the source's
+     * directional splitter, i.e. the injected power times the feed
+     * transmission -- through @p design and write the power delivered
+     * to every node's tap into @p received (resized to numNodes();
+     * the source's own entry and any node past a starved arm read 0).
+     *
+     * @param splitter_scale Empty, or one split-ratio scale per node:
+     *        node j's designed ratio S_j/(1-S_j) (and the source's
+     *        left-arm share) is multiplied by splitter_scale[j]
+     *        before propagation (see SplitterChain::evaluate).
+     */
+    void evaluate(const ChainDesign &design, WattPower launched,
+                  const std::vector<double> &splitter_scale,
+                  std::vector<double> &received) const;
+
+  private:
+    int numNodes_;
+    /** Entry a covers the waveguide between nodes a and a+1. */
+    std::vector<LinearFactor> segTrans_;
+    LinearFactor feed_;
+    LinearFactor tapTrans_;
+};
+
+/**
+ * Power-propagation model for a single source's serpentine waveguide:
+ * the die's SegmentTable plus the source's geometric tap
+ * attenuations.
  *
- * Construction precomputes the geometric tap attenuations; design() and
- * evaluate() then run in O(N).
+ * Construction precomputes both; design() and evaluate() then run in
+ * O(N).
  */
 class SplitterChain
 {
@@ -107,7 +173,7 @@ class SplitterChain
                   const DeviceParams &params, int source);
 
     int source() const { return source_; }
-    int numNodes() const { return static_cast<int>(tapAtten_.size()); }
+    int numNodes() const { return table_.numNodes(); }
 
     /**
      * Geometric attenuation from the QD LED output to node @p dest's
@@ -168,21 +234,12 @@ class SplitterChain
                                      WattPower injected_power) const;
 
   private:
-    /** Propagation transmission of the waveguide segment between
-     *  adjacent nodes @p a and @p a+1 (no splitter insertion),
-     *  served from the cache precomputed at construction. */
-    LinearFactor segmentTransmission(int a) const;
-
-    const SerpentineLayout &layout_;
     DeviceParams params_;
     int source_;
+    /** The die's segments, feed and tap transmission. */
+    SegmentTable table_;
     /** Precomputed geometric attenuation per destination. */
     std::vector<LinearFactor> tapAtten_;
-    /** Precomputed segment transmissions; entry a covers the
-     *  waveguide between adjacent nodes a and a+1. */
-    std::vector<LinearFactor> segTrans_;
-    /** Transmission from LED output to the waveguide arms. */
-    LinearFactor sourceFeedTransmission_;
 };
 
 } // namespace mnoc::optics

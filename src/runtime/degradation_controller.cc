@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <span>
 #include <string>
 
 #include "common/journal.hh"
@@ -190,12 +191,21 @@ runDegradationController(const optics::SerpentineLayout &layout,
     };
     Counter &margin_evals = metrics.counter("runtime.margin_evals");
 
+    // The runtime skews perturb only the coupler (per source) and the
+    // mIOP (die-wide), so the segment and tap transmissions are the
+    // base variation's for the whole run: one table, built through
+    // the same perturbed() clamps the per-source parameters go
+    // through.
+    const optics::SegmentTable table(
+        layout, variation.params.perturbed(DecibelLoss(0.0),
+                                           DecibelLoss(0.0),
+                                           DecibelLoss(0.0), 1.0));
+
     // Worst-case budget of one source under the epoch's fault state:
-    // rebuild its chain with the runtime skews folded into the base
-    // variation, replay every current mode's received powers, and
-    // fold them through the shared link-budget accounting.  Pure
-    // function of (state, topo, mode_origin, trims) -- safe to fan
-    // out over disjoint slots.
+    // fold the runtime skews into the base variation, replay every
+    // current mode's received powers, and fold them through the
+    // shared link-budget accounting.  Pure function of (state, topo,
+    // mode_origin, trims) -- safe to fan out over disjoint slots.
     auto evaluate_source = [&](int s) {
         auto slot = static_cast<std::size_t>(s);
         evaluated[slot] = source_inputs(slot);
@@ -205,9 +215,12 @@ runDegradationController(const optics::SerpentineLayout &layout,
             DecibelLoss(0.0), state.thermalSkew[slot],
             DecibelLoss(0.0), receiver_scale);
         WattPower pmin = params.pminAtTap();
-        optics::SplitterChain chain(layout, params, s);
+        LinearFactor feed = optics::sourceFeedTransmission(params);
 
-        std::vector<double> scale(static_cast<std::size_t>(n));
+        // Per-worker scratch, reused across sources and epochs.
+        thread_local std::vector<double> scale;
+        thread_local std::vector<std::vector<double>> received;
+        scale.resize(static_cast<std::size_t>(n));
         for (int j = 0; j < n; ++j)
             scale[static_cast<std::size_t>(j)] =
                 variation.splitterScale[slot]
@@ -217,32 +230,35 @@ runDegradationController(const optics::SerpentineLayout &layout,
         const auto &source = design.sources[slot];
         double output_scale =
             state.ledScale[slot] * variation.ledOutputScale[slot];
-        std::vector<std::vector<double>> received;
-        received.reserve(
-            static_cast<std::size_t>(topo.numModes));
-        for (int k = 0; k < topo.numModes; ++k) {
-            int drive = resolveDriveMode(
-                mode_origin[static_cast<std::size_t>(k)],
-                state.deadModes[slot], orig_modes);
+        auto num_modes = static_cast<std::size_t>(topo.numModes);
+        if (received.size() < num_modes)
+            received.resize(num_modes);
+        for (std::size_t k = 0; k < num_modes; ++k) {
+            int drive = resolveDriveMode(mode_origin[k],
+                                         state.deadModes[slot],
+                                         orig_modes);
             WattPower injected =
                 source.modePower[static_cast<std::size_t>(drive)] *
                 trims[slot].toAttenuation() * output_scale;
-            received.push_back(
-                chain.evaluate(source.chain, injected, scale));
+            table.evaluate(source.chain, injected * feed, scale,
+                           received[k]);
         }
 
-        auto report = optics::validateReceivedPowers(
-            received, topo.local(s).modeOfDest, s, pmin,
-            policy.requiredMargin, optics::unconstrainedLeak);
+        auto summary = optics::summarizeReceivedPowers(
+            std::span(received).first(num_modes),
+            topo.local(s).modeOfDest, s, pmin, policy.requiredMargin,
+            optics::unconstrainedLeak);
         SourceHealth out;
-        out.worstMargin = report.worstReachableMargin;
+        out.worstMargin = summary.worstReachableMargin;
+        // The lowest mode holding the worst failing margin, as a
+        // mode-major scan of the links would pick it.
         DecibelLoss worst_fail{1e9};
-        for (const auto &link : report.links) {
-            if (link.reachable &&
-                link.margin < policy.requiredMargin - kEps &&
-                link.margin < worst_fail) {
-                worst_fail = link.margin;
-                out.worstFailingMode = link.mode;
+        for (std::size_t k = 0; k < num_modes; ++k) {
+            DecibelLoss margin = summary.modes[k].worstMargin;
+            if (margin < policy.requiredMargin - kEps &&
+                margin < worst_fail) {
+                worst_fail = margin;
+                out.worstFailingMode = static_cast<int>(k);
             }
         }
         health[slot] = out;
