@@ -145,7 +145,8 @@ def main():
     parser.add_argument("--runs", type=int, default=5,
                         help="pipebench runs per checkout and workload "
                              "(at least 5)")
-    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seconds", type=int, default=20,
+                        help="seconds per pipebench run")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--out",
                         default=os.path.join(ROOT, "BENCH_pipeline.json"))
