@@ -70,7 +70,7 @@ struct DeviceVariation
     /** splitterScale[s][j]: multiplicative error of node j's split
      *  ratio S/(1-S) on source s's waveguide (the entry at j == s
      *  perturbs the source's own directional splitter); applied by
-     *  SplitterChain::evaluate. */
+     *  SegmentTable::evaluate. */
     std::vector<std::vector<double>> splitterScale;
     /** ledOutputScale[s]: source s's LED output relative to its drive
      *  point, in (0, 1] (droop only reduces output). */

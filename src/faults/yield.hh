@@ -6,8 +6,8 @@
  * (mode, destination) link of every source still clears the (shifted)
  * detector threshold with the required margin, and every unreachable
  * link stays below the tolerated leak level (paper Section 3.2.2's two
- * sides of the budget).  analyzeYield() replays a design through the
- * splitter-chain solver under K seeded draws and reports the yield
+ * sides of the budget).  analyzeYield() propagates a design's splitter
+ * fractions and mode powers through K seeded dies and reports the yield
  * fraction together with margin and BER distributions -- the numbers a
  * hardening loop needs to decide between adding margin and collapsing
  * a power mode.
