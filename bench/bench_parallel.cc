@@ -5,8 +5,9 @@
  * analysis, the QAP multi-start taboo search, the SPLASH suite
  * simulation, and the streamed energy-ledger build (whole-file load
  * on one thread vs sharded TraceReader fan-out on the configured
- * pool) on a pool of one and on the configured pool, verifies the
- * parallel results are bit-identical to the serial ones, and writes
+ * pool) on a pool of one and on the configured pool (the yield
+ * section in five pairs, reporting medians), verifies the parallel
+ * results are bit-identical to the serial ones, and writes
  * BENCH_parallel.json (schema in bench/bench_json.hh) so the perf
  * trajectory accumulates run over run.  The streaming record's
  * workItems is the epoch-cell (message) count, so messages/sec for
