@@ -131,6 +131,12 @@ runDegradationController(const optics::SerpentineLayout &layout,
                 static_cast<int>(variation.ledOutputScale.size()) !=
                     n,
             "device variation does not cover every source");
+    fatalIf(static_cast<int>(design.sources.size()) != n,
+            "design needs one chain per node");
+    for (int s = 0; s < n; ++s)
+        fatalIf(design.sources[static_cast<std::size_t>(s)]
+                        .chain.source != s,
+                "per-source designs must be indexed by source");
     std::size_t num_epochs = timeline.numEpochs();
     fatalIf(ledger != nullptr && ledger->numEpochs() != num_epochs,
             "fault timeline and ledger disagree on epoch count");
@@ -192,14 +198,9 @@ runDegradationController(const optics::SerpentineLayout &layout,
     Counter &margin_evals = metrics.counter("runtime.margin_evals");
 
     // The runtime skews perturb only the coupler (per source) and the
-    // mIOP (die-wide), so the segment and tap transmissions are the
-    // base variation's for the whole run: one table, built through
-    // the same perturbed() clamps the per-source parameters go
-    // through.
-    const optics::SegmentTable table(
-        layout, variation.params.perturbed(DecibelLoss(0.0),
-                                           DecibelLoss(0.0),
-                                           DecibelLoss(0.0), 1.0));
+    // mIOP (die-wide), so one table of the base variation's segment
+    // and tap transmissions serves the whole run.
+    const optics::SegmentTable table(layout, variation.params);
 
     // Worst-case budget of one source under the epoch's fault state:
     // fold the runtime skews into the base variation, replay every

@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/log.hh"
@@ -449,6 +450,29 @@ TEST(Controller, FatalsOnlyWhenNoRuleRestoresMargin)
                                           variation, timeline, policy,
                                           nullptr, &pool),
                  FatalError);
+}
+
+TEST(Controller, RejectsDesignNotIndexedBySource)
+{
+    RuntimeFixture fx;
+    auto design = fx.twoModeDesign(DecibelLoss(0.5));
+    auto variation = fx.identityVariation();
+    FaultTimeline timeline(quietSpec(), RuntimeFixture::kNodes, 2, 2,
+                           1);
+    DegradationPolicy policy;
+    ThreadPool pool(1);
+    // Each chain would be replayed and folded as the other source's;
+    // the entry check must name that, not a margin failure downstream.
+    std::swap(design.sources[0], design.sources[1]);
+    try {
+        runDegradationController(fx.layout, design, variation, timeline,
+                                 policy, nullptr, &pool);
+        FAIL() << "a design not indexed by source was replayed";
+    } catch (const FatalError &error) {
+        EXPECT_NE(std::string(error.what()).find("indexed by source"),
+                  std::string::npos)
+            << error.what();
+    }
 }
 
 TEST(Controller, HysteresisRelaxesTrimsAfterHealthyStreak)

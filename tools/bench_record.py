@@ -2,7 +2,8 @@
 """Record pipeline-benchmark timings in the BENCH_pipeline.json trajectory.
 
 Runs `pipebench/run.py --trace 0` several times per workload for one or
-more checkouts and appends one entry per (checkout, workload) to
+more checkouts, each run as long as BENCHMARK.json's `run_seconds` and
+at seed 1, and appends one entry per (checkout, workload) to
 BENCH_pipeline.json at the repository root.  Each pipebench run reports
 lower-quartile times over its own passes; an entry keeps the median,
 first and third quartile of those per-run figures for `total_s` and for
@@ -11,9 +12,9 @@ git revision and the output digest.
 
 Usage, from the repository root:
 
-    python3 tools/bench_record.py --label change
+    python3 tools/bench_record.py
     python3 tools/bench_record.py --checkout parent=/path/to/parent \\
-        --checkout change=. --runs 5 --seconds 20
+        --checkout change=. --runs 10
 
 With several checkouts the runs alternate (parent, change, parent, ...)
 so slow drifts of a shared host hit both sides alike, and the script
@@ -33,6 +34,13 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCHEMA = "mnoc-bench-pipeline-v1"
 WORKLOADS = ("design_flow_256", "runtime_replay_256")
+SEED = 1
+
+
+def run_seconds():
+    """The run length the benchmark declares."""
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
+        return json.load(handle)["run_seconds"]
 
 
 def quartiles(values):
@@ -88,13 +96,13 @@ def parse_report(stdout):
     return run
 
 
-def run_once(path, label, workload, seed, seconds):
+def run_once(path, label, workload, seconds):
     env = dict(os.environ)
     target = os.environ.get("CARGO_TARGET_DIR")
     env["CARGO_TARGET_DIR"] = (os.path.join(target, label) if target
                                else os.path.join(path, ".bench_build"))
     command = [sys.executable, os.path.join(path, "pipebench", "run.py"),
-               "--workload", workload, "--seed", str(seed),
+               "--workload", workload, "--seed", str(SEED),
                "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(command, cwd=path, env=env, check=True,
                           stdout=subprocess.PIPE,
@@ -102,7 +110,7 @@ def run_once(path, label, workload, seed, seconds):
     return parse_report(done.stdout)
 
 
-def summarize(label, path, workload, args, runs):
+def summarize(label, path, workload, seconds, runs):
     first = runs[0]
     digests = {run.get("digest") for run in runs}
     stages = sorted({name for run in runs for name in run["stages"]})
@@ -110,8 +118,8 @@ def summarize(label, path, workload, args, runs):
         "label": label,
         "git": git_revision(path),
         "workload": workload,
-        "seed": args.seed,
-        "seconds": args.seconds,
+        "seed": SEED,
+        "seconds": seconds,
         "runs": len(runs),
         "nproc": first.get("nproc"),
         "pool": first.get("pool"),
@@ -135,19 +143,13 @@ def main():
     parser.add_argument("--checkout", action="append", default=[],
                         metavar="LABEL=PATH",
                         help="checkout to time (repeatable; default: "
-                             "this repository, labelled by --label)")
-    parser.add_argument("--label", default="head",
-                        help="label of this repository's entry when no "
-                             "--checkout is given")
+                             "this repository, labelled head)")
     parser.add_argument("--workload", action="append",
                         choices=WORKLOADS,
                         help="workload to run (repeatable; default: all)")
     parser.add_argument("--runs", type=int, default=5,
                         help="pipebench runs per checkout and workload "
                              "(at least 5)")
-    parser.add_argument("--seconds", type=int, default=20,
-                        help="seconds per pipebench run")
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--out",
                         default=os.path.join(ROOT, "BENCH_pipeline.json"))
     args = parser.parse_args()
@@ -155,25 +157,25 @@ def main():
         parser.error("--runs must be at least 5")
 
     checkouts = []
-    for spec in args.checkout or [f"{args.label}={ROOT}"]:
+    for spec in args.checkout or [f"head={ROOT}"]:
         label, sep, path = spec.partition("=")
         if not sep or not label:
             parser.error(f"--checkout wants LABEL=PATH, got {spec!r}")
         checkouts.append((label, os.path.abspath(path)))
 
+    seconds = run_seconds()
     entries = []
     for workload in args.workload or WORKLOADS:
         runs = {label: [] for label, _ in checkouts}
         for index in range(args.runs):
             for label, path in checkouts:
-                run = run_once(path, label, workload, args.seed,
-                               args.seconds)
+                run = run_once(path, label, workload, seconds)
                 runs[label].append(run)
                 print(f"{workload} {label} run {index + 1}: total_s "
                       f"{run['metrics']['total_s']:.4f} digest "
                       f"{run.get('digest')}", file=sys.stderr)
         for label, path in checkouts:
-            entries.append(summarize(label, path, workload, args,
+            entries.append(summarize(label, path, workload, seconds,
                                      runs[label]))
         if len(checkouts) > 1:
             base, last = checkouts[0][0], checkouts[-1][0]
