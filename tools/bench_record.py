@@ -16,9 +16,10 @@ Usage, from the repository root:
     python3 tools/bench_record.py --checkout parent=/path/to/parent \\
         --checkout change=. --runs 10
 
-With several checkouts the runs alternate (parent, change, parent, ...)
-so slow drifts of a shared host hit both sides alike, and the script
-prints how many pairs the last checkout won on `total_s`.  Each
+With several checkouts the runs alternate, and so does the side that
+runs first in each pair (parent, change, change, parent, ...), so slow
+drifts of a shared host hit both sides alike; the script prints how
+many pairs the last checkout won on `total_s`.  Each
 checkout builds into its own directory (`.bench_build/` inside it, or
 $CARGO_TARGET_DIR/<label> when that is set).
 """
@@ -168,7 +169,8 @@ def main():
     for workload in args.workload or WORKLOADS:
         runs = {label: [] for label, _ in checkouts}
         for index in range(args.runs):
-            for label, path in checkouts:
+            order = checkouts if index % 2 == 0 else checkouts[::-1]
+            for label, path in order:
                 run = run_once(path, label, workload, seconds)
                 runs[label].append(run)
                 print(f"{workload} {label} run {index + 1}: total_s "
